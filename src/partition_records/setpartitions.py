@@ -20,6 +20,17 @@ first-occurrence characterisation by enumeration instead of assuming it.
 Everything here is exhaustive enumeration and direct counting: this
 module is the independent oracle the generating-function and
 closed-form layers are verified against.
+
+``enumerate_rgs``, ``swrec_histogram`` and ``total_swrec_bruteforce``
+share one private lexicographic walk over the words of length n - 1.
+For each position it keeps the running maximum and the swrec of the
+prefix ending there.  After a bump at position i the tail is reset to
+1s, which are never records, so the tail inherits position i's maximum
+and swrec and nothing is rescanned.  Each caller then loops over the
+last letter explicitly, so every word of length n is still visited by
+exactly one loop iteration; the last letter adds n * letter to swrec iff
+it exceeds the prefix maximum, the record definition applied one letter
+at a time.
 """
 
 from __future__ import annotations
@@ -59,6 +70,13 @@ def is_valid_rgs(word: Sequence[int]) -> bool:
     return True
 
 
+def _check_size(n: int, k: int | None = None) -> None:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1 when given")
+
+
 def enumerate_rgs(n: int, k: int | None = None) -> Iterator[Word]:
     """All restricted growth strings of length n, in lexicographic order.
 
@@ -66,32 +84,52 @@ def enumerate_rgs(n: int, k: int | None = None) -> Iterator[Word]:
     are produced; ``k > n`` yields an empty stream.  ``n = 0`` yields the
     single empty word.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if k is not None and k < 1:
-        raise ValueError("k must be >= 1 when given")
+    _check_size(n, k)
     if k is not None and k > n:
         return
     if n == 0:
         yield ()
         return
-    w = [1] * n
-    m = [1] * n  # m[i] = max(w[0..i]), kept in lockstep with w
+    for w, top, _ in _walk(n - 1):
+        prefix = tuple(w)
+        for v in range(1, top + 2):
+            if k is None or k == (v if v > top else top):
+                yield prefix + (v,)
+
+
+def _walk(length: int) -> Iterator[tuple[list[int], int, int]]:
+    """Every RGS of the given length as (word, maximum, swrec), in
+    lexicographic order; length 0 gives the empty word as ([], 0, 0).
+    The word is the walk's own list and changes at the next step."""
+    w = [1] * length
+    if length == 0:
+        yield w, 0, 0
+        return
+    top = [1] * length  # top[i] = max(w[0..i])
+    rec = [1] * length  # rec[i] = swrec(w[0..i])
+    yield w, 1, 1
     while True:
-        if k is None or m[-1] == k:
-            yield tuple(w)
         # Rightmost position that can still grow: w[i] may be bumped iff
-        # w[i] <= m[i-1] (it is not already the prefix maximum + 1).
-        i = n - 1
-        while i > 0 and w[i] > m[i - 1]:
+        # w[i] <= top[i-1] (it is not already the prefix maximum + 1).
+        i = length - 1
+        while i > 0 and w[i] > top[i - 1]:
             i -= 1
         if i == 0:
             return
-        w[i] += 1
-        m[i] = m[i - 1] if w[i] <= m[i - 1] else w[i]
-        for j in range(i + 1, n):
-            w[j] = 1
-            m[j] = m[i]
+        v = w[i] = w[i] + 1
+        t = top[i - 1]
+        r = rec[i - 1]
+        if v > t:
+            t = v
+            r += (i + 1) * v
+        top[i] = t
+        rec[i] = r
+        tail = length - 1 - i
+        if tail:
+            w[i + 1:] = [1] * tail
+            top[i + 1:] = [t] * tail
+            rec[i + 1:] = [r] * tail
+        yield w, t, r
 
 
 def records(word: Sequence[int]) -> list[RecordEntry]:
@@ -176,10 +214,17 @@ def rgs_from_blocks(blocks: Sequence[Sequence[int]]) -> Word:
 def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:
     """Exact histogram {swrec value: count} over all partitions of [n]
     (restricted to k blocks when ``k`` is given)."""
+    _check_size(n, k)
     hist: Counter[int] = Counter()
-    for w in enumerate_rgs(n, k):
-        if w:
-            hist[swrec(w)] += 1
+    if n == 0 or (k is not None and k > n):
+        return hist
+    for _, t, r in _walk(n - 1):
+        for v in range(1, t + 2):
+            if v > t:
+                if k is None or k == v:
+                    hist[r + n * v] += 1
+            elif k is None or k == t:
+                hist[r] += 1
     return hist
 
 
@@ -187,13 +232,11 @@ def total_swrec_bruteforce(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Sum of swrec over every partition of [n], by full enumeration."""
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    _check_size(n)
     total = 0
-    for w in enumerate_rgs(n):
-        top = 0
-        s = 0
-        for pos, v in enumerate(w, 1):
-            if v > top:
-                top = v
-                s += pos * v
-        total += s
+    if n == 0:
+        return total
+    for _, t, r in _walk(n - 1):
+        for v in range(1, t + 2):
+            total += r + n * v if v > t else r
     return total

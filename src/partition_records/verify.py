@@ -106,6 +106,13 @@ class _Recorder:
         return VerificationOutcome(suite, self.cases_run, self.failures, elapsed_ms, diagnostics)
 
 
+def _check_enumeration_cap(max_n: int) -> None:
+    """Refuse enumeration ranges past the default cap before any work starts."""
+    cap = setpartitions.DEFAULT_ENUMERATION_CAP
+    if max_n > cap:
+        raise ValueError(f"max_n={max_n} exceeds the enumeration cap {cap}")
+
+
 def _render(value) -> str:
     if isinstance(value, dict):
         inner = ", ".join(f"{k}: {_render(v)}" for k, v in sorted(value.items()))
@@ -123,6 +130,7 @@ def _render(value) -> str:
 def run_eq1(max_n: int = DEFAULT_ENUM_MAX_N) -> VerificationOutcome:
     """Product-form q-coefficients of [x^n] vs. enumeration histograms,
     one case per (n, k) cell with 1 <= k <= n <= max_n."""
+    _check_enumeration_cap(max_n)
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_n + 1):
@@ -163,6 +171,7 @@ def run_lemma2(
     """q-weighted sum of the product form vs. the rational closed form
     (per k, through x^order), then closed-form coefficients vs. enumeration
     totals (per (n, k) cell, n <= max_n)."""
+    _check_enumeration_cap(max_n)
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -246,6 +255,7 @@ def run_thm3(
     max_n: int = DEFAULT_BRUTE_MAX_N, tables: BellStirlingTables | None = None
 ) -> VerificationOutcome:
     """Bell-number formula vs. brute-force enumeration, n = 0..max_n."""
+    _check_enumeration_cap(max_n)
     started = time.perf_counter()
     rec = _Recorder()
     if tables is None:
@@ -253,7 +263,7 @@ def run_thm3(
     for n in range(max_n + 1):
         rec.check(
             f"thm3 n={n}",
-            setpartitions.total_swrec_bruteforce(n, cap=max_n),
+            setpartitions.total_swrec_bruteforce(n),
             closedform.total_swrec_formula(n, tables),
         )
     return rec.finish("thm3", started)

@@ -6,7 +6,9 @@ import json
 import subprocess
 import sys
 
-from partition_records import cli, verify
+import pytest
+
+from partition_records import cli, setpartitions, verify
 from partition_records.verify import CaseFailure, VerificationOutcome
 
 
@@ -141,6 +143,21 @@ def test_verify_eq1_cell_count():
     res = run_cli("verify", "--suite", "eq1", "--max-n", "6")
     assert res.returncode == 0
     assert json.loads(res.stdout)["cases_run"] == 21
+
+
+@pytest.mark.parametrize("suite", ["thm3", "eq1", "lemma2"])
+def test_verify_over_enumeration_cap_is_usage_error(suite, monkeypatch, capsys):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("enumeration started past the cap")
+
+    for name in ("enumerate_rgs", "swrec_histogram", "total_swrec_bruteforce"):
+        monkeypatch.setattr(setpartitions, name, no_walk)
+    rc = cli.main(["verify", "--suite", suite, "--max-n", "13"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_verify_unknown_suite_is_usage_error():

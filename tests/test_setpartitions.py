@@ -219,6 +219,38 @@ def test_total_swrec_cap():
         total_swrec_bruteforce(5, cap=4)
 
 
+def test_walk_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        total_swrec_bruteforce(-1)
+    with pytest.raises(ValueError):
+        swrec_histogram(-1)
+    with pytest.raises(ValueError):
+        swrec_histogram(3, 0)
+
+
+# The totals and histograms carry prefix records instead of calling swrec
+# per word; these pin them to swrec applied word by word.
+
+
+def test_total_swrec_matches_per_word_definition():
+    for n in range(11):
+        assert total_swrec_bruteforce(n) == sum(swrec(w) for w in enumerate_rgs(n)), n
+
+
+def test_swrec_histogram_matches_per_word_definition():
+    # n = 0 is left out: the histogram of P_0 is empty by convention (the
+    # empty word is not counted), see test_swrec_histogram_examples.
+    for n in range(1, 9):
+        for k in [None, *range(1, n + 3)]:
+            expected = Counter(swrec(w) for w in enumerate_rgs(n, k))
+            assert swrec_histogram(n, k) == expected, (n, k)
+
+
+def test_total_swrec_pinned_at_cap():
+    assert total_swrec_bruteforce(11) == 64646382
+    assert total_swrec_bruteforce(12) == 486545028
+
+
 # ---------------------------------------------------------------------------
 # property-based checks on random valid words
 # ---------------------------------------------------------------------------
