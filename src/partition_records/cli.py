@@ -105,36 +105,32 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     return 0
 
 
+# The verify flags each suite accepts, and the keyword of the suite
+# function each one sets.  Any other flag is a usage error.
+_VERIFY_FLAGS: dict[str, dict[str, str]] = {
+    "eq1": {"max_n": "max_n"},
+    "recurrence": {"max_k": "max_k", "order": "order"},
+    "lemma2": {"max_k": "max_k", "order": "order", "max_n": "max_n"},
+    "propn": {"max_k": "max_k", "points": "points"},
+    "thm2": {"max_n": "formula_max_n"},
+    "thm3": {"max_n": "max_n"},
+    "bellshift": {},
+    "asym": {},
+    "all": {},
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suite = verify_mod.SUITES[args.suite]
+    accepted = _VERIFY_FLAGS[args.suite]
     kwargs = {}
-    if args.suite == "eq1":
-        if args.max_n is not None:
-            kwargs["max_n"] = args.max_n
-    elif args.suite == "recurrence":
-        if args.max_k is not None:
-            kwargs["max_k"] = args.max_k
-        if args.order is not None:
-            kwargs["order"] = args.order
-    elif args.suite == "lemma2":
-        if args.max_k is not None:
-            kwargs["max_k"] = args.max_k
-        if args.order is not None:
-            kwargs["order"] = args.order
-        if args.max_n is not None:
-            kwargs["max_n"] = args.max_n
-    elif args.suite == "propn":
-        if args.max_k is not None:
-            kwargs["max_k"] = args.max_k
-        if args.points is not None:
-            kwargs["points"] = args.points
-    elif args.suite == "thm2":
-        if args.max_n is not None:
-            kwargs["formula_max_n"] = args.max_n
-    elif args.suite == "thm3":
-        if args.max_n is not None:
-            kwargs["max_n"] = args.max_n
-    outcome = suite(**kwargs)
+    for flag in ("max_n", "max_k", "order", "points"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in accepted:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to suite {args.suite}")
+        kwargs[accepted[flag]] = value
+    outcome = verify_mod.SUITES[args.suite](**kwargs)
     print(json.dumps(outcome.to_json_dict(), indent=2))
     return 0 if outcome.passed else 1
 

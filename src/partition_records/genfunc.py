@@ -9,11 +9,17 @@ constructions are provided:
 
         x * q^(i + (k+1-i)(k-i)) / (1 - i*x*q^(T_i)),   T_i = (i+1) + ... + k,
 
-    with each factor expanded as a geometric series in x;
+    with each factor a ``BiSeries.geometric`` series;
 
 ``gf_recurrence``
     iterating G_k(x,q) = x q^k / (1 - k x) * G_{k-1}(x q^k, q) from
     G_1(x,q) = x q / (1 - x).
+
+Both still multiply k factors, but each product by a geometric factor
+runs the O(order) recurrence of ``BiSeries.geometric`` instead of a full
+convolution (see ``powerseries``).  Its rows are the same as the
+convolution's, and the enumeration histograms of the ``eq1`` suite check
+the product form independently.
 
 Differentiating with respect to q and setting q = 1 turns G_k into the
 ordinary generating function of the per-size swrec totals.  That series
@@ -23,6 +29,9 @@ partial fractions with explicit coefficient families (``partial_fraction_coeffs`
 ``pole_expansion_coeffs`` recovers the same coefficients by an exact
 two-term Taylor expansion at each pole, independent of those explicit
 formulas, so either side can catch a transcription error in the other.
+``total_swrec_rational`` and ``partial_fraction_eval`` each sum integer
+numerators over an unreduced common denominator and reduce once at the
+end; they share no code, so each stays the other's oracle.
 """
 
 from __future__ import annotations
@@ -43,10 +52,7 @@ def gf_product(k: int, order: int) -> BiSeries:
     for i in range(1, k + 1):
         base = i + (k + 1 - i) * (k - i)  # q-power carried by the record itself
         step = sum(range(i + 1, k + 1))  # q-power per extra letter from 1/(1 - i x q^step)
-        factor = BiSeries.from_terms(
-            ((j + 1, base + j * step, i**j) for j in range(order)), order
-        )
-        result = result * factor
+        result = result * BiSeries.geometric(i, base, step, order)
     return result
 
 
@@ -54,13 +60,10 @@ def gf_recurrence(k: int, order: int) -> BiSeries:
     """G_k(x, q) built by iterating the block recurrence from G_1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # G_1 = x q / (1 - x)
-    g = BiSeries.from_terms(((j + 1, 1, 1) for j in range(order)), order)
+    g = BiSeries.geometric(1, 1, 0, order)  # G_1 = x q / (1 - x)
     for kk in range(2, k + 1):
-        shifted = g.substitute_x_qpow(kk)
-        # x q^kk / (1 - kk x)
-        front = BiSeries.from_terms(((j + 1, kk, kk**j) for j in range(order)), order)
-        g = front * shifted
+        front = BiSeries.geometric(kk, kk, 0, order)  # x q^kk / (1 - kk x)
+        g = front * g.substitute_x_qpow(kk)
     return g
 
 
@@ -102,12 +105,17 @@ def total_swrec_rational(k: int, y: Rational) -> Fraction:
     y = Fraction(y)
     if y.denominator == 1 and 1 <= y.numerator <= k:
         raise ValueError(f"y={y} is a pole (integers 1..{k} are excluded)")
-    prod = Fraction(1)
-    bracket = Fraction(k * (k + 1) * (2 * k + 1), 6)
+    # With y = p/d, y - i = (p - i d)/d.  The bracket is kept as an
+    # unnormalised integer ratio num/den with den = prod_i (p - i d), so the
+    # product prod_i (y - i) = den / d^k and one Fraction is built at the end.
+    # i(1+k+i)(k-i) is always even, so every term is integral.
+    p, d = y.numerator, y.denominator
+    num, den = k * (k + 1) * (2 * k + 1) // 6, 1
     for i in range(1, k + 1):
-        prod *= y - i
-        bracket += Fraction(i * (1 + k + i) * (k - i), 2) / (y - i)
-    return bracket / prod
+        q = p - i * d
+        num = num * q + i * (1 + k + i) * (k - i) // 2 * d * den
+        den *= q
+    return Fraction(num * d**k, den * den)
 
 
 @dataclass(frozen=True)
@@ -150,11 +158,20 @@ def partial_fraction_eval(d: PartialFractionDecomposition, y: Rational) -> Fract
     y = Fraction(y)
     if y.denominator == 1 and 1 <= y.numerator <= d.k:
         raise ValueError(f"y={y} is a pole (integers 1..{d.k} are excluded)")
-    total = Fraction(0)
+    # With y = p/e, y - m = (p - m e)/e, so
+    #     a/(y-m)^2 + b/(y-m) = (a_num b_den e^2 + b_num a_den e q) / (a_den b_den q^2)
+    # with q = p - m e; the sum is kept as an unnormalised integer ratio and
+    # one Fraction is built at the end.
+    p, e = y.numerator, y.denominator
+    num, den = 0, 1
     for m in range(1, d.k + 1):
-        dy = y - m
-        total += d.a[m] / (dy * dy) + d.b[m] / dy
-    return total
+        a, b = d.a[m], d.b[m]
+        q = p - m * e
+        term_num = (a.numerator * b.denominator * e + b.numerator * a.denominator * q) * e
+        term_den = a.denominator * b.denominator * q * q
+        num = num * term_den + term_num * den
+        den *= term_den
+    return Fraction(num, den)
 
 
 def pole_expansion_coeffs(k: int, m: int) -> tuple[Fraction, Fraction]:

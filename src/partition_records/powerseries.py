@@ -13,6 +13,18 @@ Two representations are provided:
     never truncated.  Storage is a tuple indexed by x-power, each entry a
     sparse map {q-power: nonzero int coefficient}.
 
+Closed-form geometric factors
+    ``BiSeries.geometric(c, qbase, qstep, order)`` is the truncated
+    expansion of x q^qbase / (1 - c x q^qstep).  It carries that triple,
+    and multiplying any series S by it uses the recurrence
+
+        row[n] = q^qbase * S[n-1] + c q^qstep * row[n-1],    row[0] = 0,
+
+    which costs O(order * row terms) in place of the generic
+    O(order^2 * row terms) convolution.  Both paths run inside ``*``; the
+    rows they produce are identical, products carry no triple, and
+    equality compares rows only.
+
 Everything is exact: floating-point coefficients are rejected, and no
 operation ever reads past the truncation order.  All values are
 immutable after construction, so they can be shared freely between
@@ -219,7 +231,7 @@ class BiSeries:
     truncation).  Zero q-coefficients are never stored.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_geometric")
 
     def __init__(self, coeffs: Iterable[Mapping[int, int]], order: int | None = None):
         rows: list[dict[int, int]] = []
@@ -241,6 +253,8 @@ class BiSeries:
         elif not rows:
             raise ValueError("a series needs at least the x^0 row (or pass order=)")
         self._coeffs = tuple(rows)
+        # (c, qbase, qstep) when the rows are x q^qbase / (1 - c x q^qstep)
+        self._geometric: tuple[int, int, int] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -271,6 +285,21 @@ class BiSeries:
                 rows[n][s] = rows[n].get(s, 0) + c
         return cls(rows, order=order)
 
+    @classmethod
+    def geometric(cls, c: int, qbase: int, qstep: int, order: int) -> "BiSeries":
+        """x q^qbase / (1 - c x q^qstep) = sum_j c^j x^(j+1) q^(qbase + j qstep),
+        truncated at ``order``; products with it take the O(order) path."""
+        for name, value in (("c", c), ("qbase", qbase), ("qstep", qstep)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a plain int")
+        if qbase < 0 or qstep < 0:
+            raise ValueError("q-powers must be >= 0")
+        series = cls.from_terms(
+            ((j + 1, qbase + j * qstep, c**j) for j in range(order)), order
+        )
+        series._geometric = (c, qbase, qstep)
+        return series
+
     # -- inspection ---------------------------------------------------
 
     @property
@@ -299,6 +328,10 @@ class BiSeries:
         if not isinstance(other, BiSeries):
             return NotImplemented
         self._require_same_order(other)
+        if other._geometric is not None:
+            return self._times_geometric(*other._geometric)
+        if self._geometric is not None:
+            return other._times_geometric(*self._geometric)
         order = self.order
         rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
         for n1, row1 in enumerate(self._coeffs):
@@ -317,6 +350,17 @@ class BiSeries:
                             target[s] = v
                         elif s in target:
                             del target[s]
+        return BiSeries(rows)
+
+    def _times_geometric(self, c: int, qbase: int, qstep: int) -> "BiSeries":
+        """self * x q^qbase / (1 - c x q^qstep), truncated at self's order.
+        Terms that cancel to 0 are dropped by the constructor."""
+        rows: list[dict[int, int]] = [{}]
+        for prev in self._coeffs[:-1]:
+            row = {s + qstep: c * v for s, v in rows[-1].items()} if c else {}
+            for s, v in prev.items():
+                row[s + qbase] = row.get(s + qbase, 0) + v
+            rows.append(row)
         return BiSeries(rows)
 
     def substitute_x_qpow(self, k: int) -> "BiSeries":

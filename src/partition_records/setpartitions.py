@@ -213,11 +213,14 @@ def rgs_from_blocks(blocks: Sequence[Sequence[int]]) -> Word:
 
 def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:
     """Exact histogram {swrec value: count} over all partitions of [n]
-    (restricted to k blocks when ``k`` is given)."""
+    (restricted to k blocks when ``k`` is given).  P_0 holds the empty
+    word, whose swrec is 0, so ``swrec_histogram(0)`` is {0: 1}."""
     _check_size(n, k)
     hist: Counter[int] = Counter()
-    if n == 0 or (k is not None and k > n):
+    if k is not None and k > n:
         return hist
+    if n == 0:
+        return Counter({0: 1})
     for _, t, r in _walk(n - 1):
         for v in range(1, t + 2):
             if v > t:

@@ -113,6 +113,13 @@ def _check_enumeration_cap(max_n: int) -> None:
         raise ValueError(f"max_n={max_n} exceeds the enumeration cap {cap}")
 
 
+def _check_at_least(minimum: int, **values: int) -> None:
+    """Refuse ranges that would leave a suite's cases out, before any work."""
+    for name, value in values.items():
+        if value < minimum:
+            raise ValueError(f"{name}={value} must be >= {minimum}")
+
+
 def _render(value) -> str:
     if isinstance(value, dict):
         inner = ", ".join(f"{k}: {_render(v)}" for k, v in sorted(value.items()))
@@ -130,6 +137,7 @@ def _render(value) -> str:
 def run_eq1(max_n: int = DEFAULT_ENUM_MAX_N) -> VerificationOutcome:
     """Product-form q-coefficients of [x^n] vs. enumeration histograms,
     one case per (n, k) cell with 1 <= k <= n <= max_n."""
+    _check_at_least(1, max_n=max_n)
     _check_enumeration_cap(max_n)
     started = time.perf_counter()
     rec = _Recorder()
@@ -146,6 +154,7 @@ def run_recurrence(
     max_k: int = DEFAULT_MAX_K, order: int = DEFAULT_SERIES_ORDER
 ) -> VerificationOutcome:
     """Product vs. recurrence construction, coefficient-wise, one case per k."""
+    _check_at_least(1, max_k=max_k)
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -171,6 +180,7 @@ def run_lemma2(
     """q-weighted sum of the product form vs. the rational closed form
     (per k, through x^order), then closed-form coefficients vs. enumeration
     totals (per (n, k) cell, n <= max_n)."""
+    _check_at_least(1, max_k=max_k, max_n=max_n)
     _check_enumeration_cap(max_n)
     started = time.perf_counter()
     rec = _Recorder()
@@ -195,6 +205,7 @@ def run_propn(
     grid of non-pole sample points (half-integer spacing, so non-integer
     rationals are exercised), plus spot checks of the explicit coefficient
     formulas against the pole-expansion oracle."""
+    _check_at_least(1, max_k=max_k, points=points)
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -225,6 +236,7 @@ def run_thm2(
     """EGF coefficients vs. (a) sums of per-block-count totals for small n,
     (b) the exact Bell-number formula up to formula_max_n, and (c) the
     integrality of that formula up to denom_max_n."""
+    _check_at_least(0, sum_max_n=sum_max_n, formula_max_n=formula_max_n, denom_max_n=denom_max_n)
     started = time.perf_counter()
     rec = _Recorder()
     big_order = formula_max_n + 3
@@ -255,6 +267,7 @@ def run_thm3(
     max_n: int = DEFAULT_BRUTE_MAX_N, tables: BellStirlingTables | None = None
 ) -> VerificationOutcome:
     """Bell-number formula vs. brute-force enumeration, n = 0..max_n."""
+    _check_at_least(0, max_n=max_n)
     _check_enumeration_cap(max_n)
     started = time.perf_counter()
     rec = _Recorder()

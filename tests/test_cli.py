@@ -1,6 +1,7 @@
 """CLI contract: flags, formats, exit codes, determinism."""
 
 import csv
+import inspect
 import io
 import json
 import subprocess
@@ -158,6 +159,70 @@ def test_verify_over_enumeration_cap_is_usage_error(suite, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "thm3", "--max-n", "-3"],
+        ["--suite", "eq1", "--max-n", "-3"],
+        ["--suite", "recurrence", "--max-k", "-1"],
+        ["--suite", "lemma2", "--max-k", "0", "--max-n", "0"],
+        ["--suite", "propn", "--max-k", "0"],
+        ["--suite", "propn", "--points", "0"],
+        ["--suite", "thm2", "--max-n", "-3"],
+        # flags the suite does not take
+        ["--suite", "all", "--max-n", "3"],
+        ["--suite", "bellshift", "--max-n", "5"],
+        ["--suite", "asym", "--points", "2"],
+        ["--suite", "eq1", "--max-k", "2"],
+        ["--suite", "thm3", "--order", "4"],
+        ["--suite", "recurrence", "--max-n", "4"],
+    ],
+)
+def test_verify_vacuous_or_ignored_flags_are_usage_errors(argv, monkeypatch, capsys):
+    def no_run(**kwargs):
+        raise AssertionError("suite started")
+
+    for name in ("all", "bellshift", "asym"):
+        monkeypatch.setitem(verify.SUITES, name, no_run)
+    rc = cli.main(["verify", *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, kwargs",
+    [
+        (["--suite", "eq1", "--max-n", "4"], {"max_n": 4}),
+        (["--suite", "recurrence", "--max-k", "2", "--order", "5"], {"max_k": 2, "order": 5}),
+        (
+            ["--suite", "lemma2", "--max-n", "4", "--order", "5", "--max-k", "2"],
+            {"max_k": 2, "order": 5, "max_n": 4},
+        ),
+        (["--suite", "propn", "--points", "3", "--max-k", "2"], {"max_k": 2, "points": 3}),
+        (["--suite", "thm2", "--max-n", "7"], {"formula_max_n": 7}),
+        (["--suite", "thm3", "--max-n", "5"], {"max_n": 5}),
+        (["--suite", "bellshift"], {}),
+        (["--suite", "asym"], {}),
+        (["--suite", "all"], {}),
+    ],
+)
+def test_verify_flags_set_suite_keywords(argv, kwargs, monkeypatch, capsys):
+    seen = []
+    suite = argv[1]
+    assert set(kwargs) <= set(inspect.signature(verify.SUITES[suite]).parameters)
+
+    def fake(**got):
+        seen.append(got)
+        return VerificationOutcome(suite, 1, [], 0.5)
+
+    monkeypatch.setitem(verify.SUITES, suite, fake)
+    assert cli.main(["verify", *argv]) == 0
+    assert seen == [kwargs]
+    capsys.readouterr()
 
 
 def test_verify_unknown_suite_is_usage_error():

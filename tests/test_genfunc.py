@@ -169,6 +169,47 @@ def test_reconstruction_at_rational_points():
             assert partial_fraction_eval(d, y) == total_swrec_rational(k, y)
 
 
+def reference_rational(k, y):
+    """total_swrec_rational term by term in Fraction arithmetic."""
+    prod = F(1)
+    bracket = F(k * (k + 1) * (2 * k + 1), 6)
+    for i in range(1, k + 1):
+        prod *= y - i
+        bracket += F(i * (1 + k + i) * (k - i), 2) / (y - i)
+    return bracket / prod
+
+
+def reference_partial_fraction(d, y):
+    """partial_fraction_eval term by term in Fraction arithmetic."""
+    return sum((d.a[m] / (y - m) ** 2 + d.b[m] / (y - m) for m in range(1, d.k + 1)), F(0))
+
+
+def test_rational_evaluations_match_fraction_reference():
+    points = [
+        F(-5), F(-7, 3), F(-1, 3), F(0), F(1, 3), F(5, 3), F(10, 3), F(7, 2),
+        F(123457, 1000), F(10**18 + 1), F(-(10**20), 3), F(1, 10**15),
+    ]
+    for k in range(1, 13):
+        d = partial_fraction_coeffs(k)
+        for y in points:
+            if y.denominator == 1 and 1 <= y <= k:
+                continue
+            expected = reference_rational(k, y)
+            assert total_swrec_rational(k, y) == expected, (k, y)
+            assert partial_fraction_eval(d, y) == reference_partial_fraction(d, y) == expected
+
+
+def test_rational_evaluations_reject_every_pole():
+    for k in range(1, 7):
+        d = partial_fraction_coeffs(k)
+        for m in range(1, k + 1):
+            for y in (m, F(m), F(2 * m, 2)):
+                with pytest.raises(ValueError):
+                    total_swrec_rational(k, y)
+                with pytest.raises(ValueError):
+                    partial_fraction_eval(d, y)
+
+
 def test_pole_expansion_oracle_matches_explicit_coeffs():
     # the two-term Taylor expansion at each pole is independent of the
     # explicit formulas; they must agree everywhere

@@ -232,3 +232,72 @@ def test_bi_mul_associative(a, b, c):
 @given(bi_series(), bi_series())
 def test_bi_mul_commutative(a, b):
     assert a * b == b * a
+
+
+# ---------------------------------------------------------------------------
+# closed-form geometric factors
+# ---------------------------------------------------------------------------
+
+
+def geometric_terms(c, qbase, qstep, order):
+    return [(j + 1, qbase + j * qstep, c**j) for j in range(order)]
+
+
+def plain_geometric(c, qbase, qstep, order):
+    """The same rows with no recorded factor, so products convolve."""
+    return BiSeries.from_terms(geometric_terms(c, qbase, qstep, order), order)
+
+
+def test_bi_geometric_rows():
+    g = BiSeries.geometric(2, 3, 1, 4)
+    assert list(g.terms()) == [(1, 3, 1), (2, 4, 2), (3, 5, 4), (4, 6, 8)]
+    assert g == plain_geometric(2, 3, 1, 4)
+    assert BiSeries.geometric(-3, 0, 0, 3) == plain_geometric(-3, 0, 0, 3)
+    assert BiSeries.geometric(0, 2, 5, 3) == BiSeries.monomial(1, 1, 2, 3)
+    assert BiSeries.geometric(4, 1, 1, 0) == BiSeries.zero(0)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((1, -1, 0, 3), ValueError),
+        ((1, 0, -1, 3), ValueError),
+        ((1, 0, 0, -1), ValueError),
+        ((F(1, 2), 0, 0, 3), TypeError),
+        ((1.0, 0, 0, 3), TypeError),
+        ((True, 0, 0, 3), TypeError),
+        ((1, 0.0, 0, 3), TypeError),
+        ((1, 0, F(1), 3), TypeError),
+    ],
+)
+def test_bi_geometric_rejects_bad_arguments(args, error):
+    with pytest.raises(error):
+        BiSeries.geometric(*args)
+
+
+geometric_args = st.tuples(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+)
+
+
+@given(st.data(), geometric_args)
+def test_bi_mul_geometric_matches_convolution(data, args):
+    order = data.draw(st.integers(min_value=0, max_value=5))
+    x = data.draw(bi_series(order=order))
+    factor = BiSeries.geometric(*args, order)
+    plain = plain_geometric(*args, order)
+    expected = x * plain
+    assert x * factor == expected
+    assert factor * x == expected
+    # the product carries no factor: multiplying it by x convolves again
+    assert (x * factor) * x == expected * x
+
+
+@given(st.integers(min_value=0, max_value=5), geometric_args, geometric_args)
+def test_bi_mul_two_geometric_factors(order, f, g):
+    a, b = BiSeries.geometric(*f, order), BiSeries.geometric(*g, order)
+    expected = plain_geometric(*f, order) * plain_geometric(*g, order)
+    assert a * b == expected
+    assert b * a == expected

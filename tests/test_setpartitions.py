@@ -203,7 +203,7 @@ def test_malformed_blocks_rejected():
 def test_swrec_histogram_examples():
     assert dict(swrec_histogram(3, 2)) == {5: 2, 7: 1}
     assert dict(swrec_histogram(2)) == {1: 1, 5: 1}
-    assert dict(swrec_histogram(0)) == {}
+    assert dict(swrec_histogram(0)) == {0: 1}
 
 
 def test_total_swrec_small():
@@ -238,9 +238,7 @@ def test_total_swrec_matches_per_word_definition():
 
 
 def test_swrec_histogram_matches_per_word_definition():
-    # n = 0 is left out: the histogram of P_0 is empty by convention (the
-    # empty word is not counted), see test_swrec_histogram_examples.
-    for n in range(1, 9):
+    for n in range(0, 9):
         for k in [None, *range(1, n + 3)]:
             expected = Counter(swrec(w) for w in enumerate_rgs(n, k))
             assert swrec_histogram(n, k) == expected, (n, k)

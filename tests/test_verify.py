@@ -1,5 +1,7 @@
 """The verification-suite engine: pass/fail bookkeeping and JSON shape."""
 
+import pytest
+
 from partition_records import verify
 from partition_records.verify import CaseFailure, VerificationOutcome
 
@@ -93,3 +95,35 @@ def test_suite_registry_complete():
         "asym",
         "all",
     }
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        ("eq1", {"max_n": 0}),
+        ("eq1", {"max_n": -3}),
+        ("recurrence", {"max_k": 0}),
+        ("recurrence", {"max_k": -1}),
+        ("lemma2", {"max_k": 0}),
+        ("lemma2", {"max_n": 0}),
+        ("propn", {"max_k": 0}),
+        ("propn", {"points": 0}),
+        ("thm2", {"formula_max_n": -3}),
+        ("thm2", {"sum_max_n": -1}),
+        ("thm2", {"denom_max_n": -1}),
+        ("thm3", {"max_n": -3}),
+    ],
+)
+def test_ranges_that_leave_cases_out_are_refused(suite, kwargs):
+    with pytest.raises(ValueError, match=">= "):
+        verify.SUITES[suite](**kwargs)
+
+
+def test_smallest_accepted_ranges_run_cases(tables):
+    assert verify.run_eq1(max_n=1).cases_run == 1
+    assert verify.run_recurrence(max_k=1, order=0).cases_run == 1
+    assert verify.run_lemma2(max_k=1, order=0, max_n=1).cases_run == 2
+    assert verify.run_propn(max_k=1, points=1).cases_run == 1 + 4
+    out = verify.run_thm2(sum_max_n=0, formula_max_n=0, denom_max_n=0, tables=tables)
+    assert out.cases_run == 3
+    assert verify.run_thm3(max_n=0, tables=tables).cases_run == 1
