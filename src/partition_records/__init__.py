@@ -13,9 +13,6 @@ from .closedform import (
     bell_numbers,
     build_tables,
     egf_w,
-    load_or_build_tables,
-    shifted_bell_coefficient,
-    shifted_bell_series,
     stirling_triangle,
     total_swrec_formula,
 )
@@ -70,15 +67,12 @@ __all__ = [
     "gf_product",
     "gf_recurrence",
     "is_valid_rgs",
-    "load_or_build_tables",
     "partial_fraction_coeffs",
     "partial_fraction_eval",
     "pole_expansion_coeffs",
     "rec_count",
     "records",
     "rgs_from_blocks",
-    "shifted_bell_coefficient",
-    "shifted_bell_series",
     "solve_r",
     "srec",
     "stirling_triangle",

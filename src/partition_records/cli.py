@@ -4,23 +4,26 @@ coefficients, exact totals, asymptotics, and the verification suites.
 Data goes to stdout, logs and errors to stderr.  Exit codes: 0 success
 (verify: all cases passed), 1 verification failures, 2 usage errors.
 Output for a given set of flags is deterministic, except for the
-``elapsed_ms`` timing field of verify outcomes.
+``elapsed_ms`` timing field of verify outcomes.  A usage error is one
+``error:`` line on stderr.
 
-The only environment variable read is PARTITION_RECORDS_CACHE: a
-directory holding the optional Bell-number cache file.
+Every size is checked against a fixed cap before any work starts: the
+enumeration cap for ``enumerate`` and ``total --method brute``,
+``closedform.FORMULA_CAP`` for the other ``total`` methods and ``verify
+--suite thm2``, and the ``*_MAX_*`` constants below for ``asymptotic``
+and ``gf``.  No environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
 from . import verify as verify_mod
 from .asymptotics import asymptotic_report
-from .closedform import egf_w, load_or_build_tables, total_swrec_formula
+from .closedform import FORMULA_CAP, build_tables, egf_w, total_swrec_formula
 from .genfunc import gf_product
 from .setpartitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -30,17 +33,27 @@ from .setpartitions import (
     swrec,
 )
 
-CACHE_ENV_VAR = "PARTITION_RECORDS_CACHE"
+# Caps of the sizes that are not bounded elsewhere: every n of
+# ``asymptotic --ns`` (Bell tables to n + 3), and ``gf --k`` and
+# ``gf --max-n`` (gf_product(30, 60) already takes seconds).
+ASYMPTOTIC_MAX_N = 1000
+GF_MAX_K = 30
+GF_MAX_N = 60
 
 _STATS = {"swrec": swrec, "srec": srec, "rec": rec_count}
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get(CACHE_ENV_VAR) or None
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main`` as ValueError,
+    so they are reported as one ``error:`` line like every other."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
 
 
-def _tables(max_n: int, stirling_max_n: int | None = None):
-    return load_or_build_tables(max_n, cache_dir=_cache_dir(), stirling_max_n=stirling_max_n)
+def _check_cap(name: str, value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise ValueError(f"{name}={value} exceeds the {what} cap {cap}")
 
 
 def _format_word(word: tuple[int, ...], n: int) -> str:
@@ -54,9 +67,7 @@ def _format_word(word: tuple[int, ...], n: int) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.n > args.cap:
-        print(f"error: n={args.n} exceeds the enumeration cap {args.cap}", file=sys.stderr)
-        return 2
+    _check_cap("n", args.n, DEFAULT_ENUMERATION_CAP, "enumeration")
     stat = _STATS[args.stat] if args.stat else None
     for word in enumerate_rgs(args.n, args.k):
         line = _format_word(word, args.n)
@@ -68,20 +79,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_total(args: argparse.Namespace) -> int:
     if args.method == "brute":
-        if args.n > args.brute_cap:
-            print(
-                f"error: n={args.n} exceeds the brute-force cap {args.brute_cap}",
-                file=sys.stderr,
-            )
-            return 2
         from .setpartitions import total_swrec_bruteforce
 
-        print(total_swrec_bruteforce(args.n, cap=args.brute_cap))
+        print(total_swrec_bruteforce(args.n))  # refuses n past the enumeration cap
         return 0
-    if args.n > args.formula_cap:
-        print(f"error: n={args.n} exceeds the formula cap {args.formula_cap}", file=sys.stderr)
-        return 2
-    tables = _tables(args.n + 3, stirling_max_n=0)
+    _check_cap("n", args.n, FORMULA_CAP, "formula")
+    tables = build_tables(args.n + 3, stirling_max_n=0)
     if args.method == "formula":
         print(total_swrec_formula(args.n, tables))
     else:  # egf
@@ -94,6 +97,8 @@ def _cmd_total(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
+    _check_cap("k", args.k, GF_MAX_K, "gf")
+    _check_cap("max_n", args.max_n, GF_MAX_N, "gf")
     series = gf_product(args.k, args.max_n)
     rows = [[n, s, c] for n, s, c in series.terms()]
     if args.format == "csv":
@@ -145,17 +150,18 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         if any(n < 1 for n in ns):
             raise ValueError
     except ValueError:
-        print(f"error: --ns must be a comma-separated list of positive integers, got {args.ns!r}",
-              file=sys.stderr)
-        return 2
-    tables = _tables(max(ns) + 3, stirling_max_n=0)
+        raise ValueError(
+            f"--ns must be a comma-separated list of positive integers, got {args.ns!r}"
+        ) from None
+    _check_cap("n", max(ns), ASYMPTOTIC_MAX_N, "asymptotic")
+    tables = build_tables(max(ns) + 3, stirling_max_n=0)
     reports = asymptotic_report(ns, tables)
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="partition-records",
         description="Exact weighted-record statistics on set partitions, "
         "with generating-function and Bell-number cross-checks.",
@@ -167,15 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="restrict to exactly k blocks")
     p.add_argument("--stat", choices=sorted(_STATS), default=None,
                    help="annotate each word with a statistic")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                   help="enumeration size cap (default %(default)s)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("total", help="total of swrec over all partitions of [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["formula", "brute", "egf"], default="formula")
-    p.add_argument("--brute-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--formula-cap", type=int, default=500)
     p.set_defaults(func=_cmd_total)
 
     p = sub.add_parser("gf", help="generating-function coefficients (n, s, count)")
@@ -195,22 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotic", help="asymptotic-estimate reports")
     p.add_argument("--ns", type=str, required=True,
                    help="comma-separated sizes; empty string gives []")
-    p.add_argument("--json", action="store_true",
-                   help="accepted for compatibility; output is always JSON")
     p.set_defaults(func=_cmd_asymptotic)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass that through
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # argparse exits 0 on --help; pass that through
+        return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

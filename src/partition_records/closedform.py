@@ -12,19 +12,26 @@ function
                           - x e^{2x} - 3/2 x e^x - 1/2).
 
 This module builds exact integer tables of B_n and S(n,k) via the
-triangular recurrences, constructs W(x) with exact rational series
-arithmetic, and evaluates T(n).  Both routes are independent of the
-enumeration oracle, which the tests compare them against.
+triangular recurrences (``build_tables`` is the one way to get them;
+tables are rebuilt on every call and never read from a file), constructs
+W(x) with exact rational series arithmetic, and evaluates T(n) in
+integers.  Both routes are independent of the enumeration oracle, which
+the tests compare them against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .powerseries import UniSeries
+
+
+# Largest n at which the CLI and the verify suites evaluate T(n) by the
+# formula and the EGF: egf_w at order FORMULA_CAP + 3 already takes seconds,
+# and its cost grows faster than the square of the order.
+FORMULA_CAP = 500
 
 
 def bell_numbers(max_n: int) -> list[int]:
@@ -145,111 +152,19 @@ def egf_w(order: int, tables: BellStirlingTables) -> UniSeries:
     return bell_egf(order, tables) * bracket
 
 
-def shifted_bell_series(j: int, order: int, tables: BellStirlingTables) -> UniSeries:
-    """e^{j x} * BellEGF(x) for j in 0..3.
-
-    Its n-th EGF coefficient is the Bell combination given by
-    ``shifted_bell_coefficient``; the tests check that identity.
-    """
-    if not 0 <= j <= 3:
-        raise ValueError("j must be in 0..3")
-    if tables.max_n < order + j:
-        raise ValueError(f"tables must cover order+j = {order + j}, have {tables.max_n}")
-    return bell_egf(order, tables) * _exp_cx(j, order)
-
-
-def shifted_bell_coefficient(j: int, n: int, tables: BellStirlingTables) -> int:
-    """The Bell combination equal to n! * [x^n] e^{jx} BellEGF(x), j in 0..3."""
-    b = tables.bell
-    if n + j > tables.max_n:
-        raise ValueError(f"need B_{n + j}, tables stop at {tables.max_n}")
-    if j == 0:
-        return b[n]
-    if j == 1:
-        return b[n + 1]
-    if j == 2:
-        return b[n + 2] - b[n + 1]
-    if j == 3:
-        return b[n + 3] - 3 * b[n + 2] + 2 * b[n + 1]
-    raise ValueError("j must be in 0..3")
-
-
 def total_swrec_formula(n: int, tables: BellStirlingTables) -> int:
     """Exact total of swrec over all partitions of [n], from Bell numbers.
 
-    The rational combination always reduces to an integer; a non-integral
-    result would mean the tables are corrupt, and raises ArithmeticError.
+    Evaluated in integers as 4T = 3(B_{n+3} - B_{n+2}) - (4n+7) B_{n+1}
+    - 2(n+1) B_n.  4T is always divisible by 4; a remainder would mean the
+    tables are corrupt, and raises ArithmeticError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if tables.max_n < n + 3:
         raise ValueError(f"tables must cover n+3 = {n + 3}, have {tables.max_n}")
     b = tables.bell
-    value = (
-        Fraction(3, 4) * (b[n + 3] - b[n + 2])
-        - (n + Fraction(7, 4)) * b[n + 1]
-        - Fraction(n + 1, 2) * b[n]
-    )
-    if value.denominator != 1:
-        raise ArithmeticError(f"total for n={n} is not an integer: {value}")
-    return value.numerator
-
-
-# ---------------------------------------------------------------------------
-# Optional Bell-number cache (one "<n> <B_n>" line per value)
-# ---------------------------------------------------------------------------
-
-BELL_CACHE_FILENAME = "bell.txt"
-
-
-def write_bell_cache(path: str, bell: list[int] | tuple[int, ...]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for n, b in enumerate(bell):
-            fh.write(f"{n} {b}\n")
-
-
-def read_bell_cache(path: str) -> list[int]:
-    """Parse a cache file; raises ValueError on any malformed content."""
-    bell: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_str, b_str = line.split()
-            if int(n_str) != len(bell):
-                raise ValueError(f"cache lines out of order at n={n_str}")
-            bell.append(int(b_str))
-    if not bell:
-        raise ValueError("empty cache file")
-    return bell
-
-
-def load_or_build_tables(
-    max_n: int,
-    cache_dir: str | None = None,
-    stirling_max_n: int | None = None,
-) -> BellStirlingTables:
-    """Like ``build_tables`` but reading/writing the plain-text Bell cache
-    when ``cache_dir`` is given.  A missing, short, or unreadable cache is
-    simply rebuilt (and rewritten)."""
-    bell: list[int] | None = None
-    cache_path = None
-    if cache_dir is not None:
-        cache_path = os.path.join(cache_dir, BELL_CACHE_FILENAME)
-        try:
-            cached = read_bell_cache(cache_path)
-            if len(cached) >= max_n + 1:
-                bell = cached[: max_n + 1]
-        except (OSError, ValueError):
-            bell = None
-    if bell is None:
-        bell = bell_numbers(max_n)
-        if cache_path is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            write_bell_cache(cache_path, bell)
-    s_max = max_n if stirling_max_n is None else stirling_max_n
-    return BellStirlingTables(
-        bell=tuple(bell),
-        stirling=tuple(tuple(r) for r in stirling_triangle(s_max)),
-    )
+    four_t = 3 * (b[n + 3] - b[n + 2]) - (4 * n + 7) * b[n + 1] - 2 * (n + 1) * b[n]
+    if four_t % 4 != 0:
+        raise ArithmeticError(f"total for n={n} is not an integer: {four_t}/4")
+    return four_t // 4

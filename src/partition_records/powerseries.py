@@ -135,9 +135,6 @@ class UniSeries:
         self._require_same_order(other)
         return UniSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
-    def __neg__(self) -> "UniSeries":
-        return UniSeries([-a for a in self._coeffs])
-
     def scale(self, c: Rational) -> "UniSeries":
         f = _as_fraction(c)
         return UniSeries([a * f for a in self._coeffs])

@@ -106,11 +106,11 @@ class _Recorder:
         return VerificationOutcome(suite, self.cases_run, self.failures, elapsed_ms, diagnostics)
 
 
-def _check_enumeration_cap(max_n: int) -> None:
-    """Refuse enumeration ranges past the default cap before any work starts."""
-    cap = setpartitions.DEFAULT_ENUMERATION_CAP
-    if max_n > cap:
-        raise ValueError(f"max_n={max_n} exceeds the enumeration cap {cap}")
+def _check_at_most(cap: int, what: str, **values: int) -> None:
+    """Refuse ranges past a cap before any work starts."""
+    for name, value in values.items():
+        if value > cap:
+            raise ValueError(f"{name}={value} exceeds the {what} cap {cap}")
 
 
 def _check_at_least(minimum: int, **values: int) -> None:
@@ -124,8 +124,6 @@ def _render(value) -> str:
     if isinstance(value, dict):
         inner = ", ".join(f"{k}: {_render(v)}" for k, v in sorted(value.items()))
         return "{" + inner + "}"
-    if isinstance(value, Fraction):
-        return str(value)  # "p/q" or "p", always exact
     return str(value)
 
 
@@ -138,7 +136,7 @@ def run_eq1(max_n: int = DEFAULT_ENUM_MAX_N) -> VerificationOutcome:
     """Product-form q-coefficients of [x^n] vs. enumeration histograms,
     one case per (n, k) cell with 1 <= k <= n <= max_n."""
     _check_at_least(1, max_n=max_n)
-    _check_enumeration_cap(max_n)
+    _check_at_most(setpartitions.DEFAULT_ENUMERATION_CAP, "enumeration", max_n=max_n)
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_n + 1):
@@ -181,7 +179,7 @@ def run_lemma2(
     (per k, through x^order), then closed-form coefficients vs. enumeration
     totals (per (n, k) cell, n <= max_n)."""
     _check_at_least(1, max_k=max_k, max_n=max_n)
-    _check_enumeration_cap(max_n)
+    _check_at_most(setpartitions.DEFAULT_ENUMERATION_CAP, "enumeration", max_n=max_n)
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -237,6 +235,7 @@ def run_thm2(
     (b) the exact Bell-number formula up to formula_max_n, and (c) the
     integrality of that formula up to denom_max_n."""
     _check_at_least(0, sum_max_n=sum_max_n, formula_max_n=formula_max_n, denom_max_n=denom_max_n)
+    _check_at_most(closedform.FORMULA_CAP, "formula", formula_max_n=formula_max_n)
     started = time.perf_counter()
     rec = _Recorder()
     big_order = formula_max_n + 3
@@ -268,7 +267,7 @@ def run_thm3(
 ) -> VerificationOutcome:
     """Bell-number formula vs. brute-force enumeration, n = 0..max_n."""
     _check_at_least(0, max_n=max_n)
-    _check_enumeration_cap(max_n)
+    _check_at_most(setpartitions.DEFAULT_ENUMERATION_CAP, "enumeration", max_n=max_n)
     started = time.perf_counter()
     rec = _Recorder()
     if tables is None:

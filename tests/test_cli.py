@@ -1,15 +1,19 @@
 """CLI contract: flags, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partition_records import cli, setpartitions, verify
+from partition_records import bell_numbers, cli, setpartitions, verify
 from partition_records.verify import CaseFailure, VerificationOutcome
 
 
@@ -305,15 +309,132 @@ def test_verify_deterministic_modulo_timing():
     assert outs[0] == outs[1]
 
 
-def test_bell_cache_env_var(tmp_path):
-    import os
-
+def test_cache_env_var_is_ignored(tmp_path):
+    # A Bell-number cache file with one wrong digit in B_17.
+    bell = bell_numbers(30)
+    bell[17] += 10**6
+    (tmp_path / "bell.txt").write_text("".join(f"{n} {b}\n" for n, b in enumerate(bell)))
     env = dict(os.environ, PARTITION_RECORDS_CACHE=str(tmp_path))
-    first = run_cli("total", "--n", "9", "--method", "formula", env=env)
-    assert first.returncode == 0
-    cache = tmp_path / "bell.txt"
-    assert cache.exists()
-    stamp = cache.read_text()
-    second = run_cli("total", "--n", "9", "--method", "formula", env=env)
-    assert second.stdout == first.stdout
-    assert cache.read_text() == stamp  # reused, not rewritten
+    res = run_cli("total", "--n", "16", env=env)
+    assert res.returncode == 0
+    assert res.stdout.strip() == "2303066401903"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotic", "--ns", "10", "--json"],
+        ["enumerate", "--n", "3", "--cap", "20"],
+        ["total", "--n", "3", "--brute-cap", "20"],
+        ["total", "--n", "3", "--formula-cap", "900"],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "template, cap",
+    [
+        (["asymptotic", "--ns", "{}"], 1000),
+        (["asymptotic", "--ns", "10,{},20"], 1000),
+        (["gf", "--k", "{}", "--max-n", "3"], 30),
+        (["gf", "--k", "2", "--max-n", "{}"], 60),
+        (["total", "--n", "{}"], 500),
+        (["total", "--n", "{}", "--method", "egf"], 500),
+        (["verify", "--suite", "thm2", "--max-n", "{}"], 500),
+    ],
+)
+def test_sizes_past_a_cap_are_usage_errors(template, cap, monkeypatch, capsys):
+    # Stand-ins for the first costly call of each command: reaching one
+    # means the size passed the cap check.
+    def stand_in(*args, **kwargs):
+        raise _WorkStarted
+
+    for module, name in ((cli, "build_tables"), (cli, "gf_product"), (verify, "build_tables")):
+        monkeypatch.setattr(module, name, stand_in)
+    with pytest.raises(_WorkStarted):
+        cli.main([arg.format(cap) for arg in template])
+    assert cli.main([arg.format(cap + 1) for arg in template]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# Argv for the CLI contract property.  Sizes stay small enough to start no
+# real work: enumeration sizes are at most 8 or past the cap of 12, and
+# every verify run gives each of its suite's caps explicitly.  Each option
+# is given with a chance in tenths: 9 for required flags, 5 for optional
+# ones, 2 for the removed ones and for verify flags the suite does not take.
+_SMALL = st.integers(-3, 14)
+_ENUM_N = st.sampled_from([*range(-3, 9), 13, 14])
+_VERIFY_CAPS = ("max_n", "max_k", "order", "points")
+
+
+def _given(draw, tenths: int) -> bool:
+    return draw(st.integers(0, 9)) < tenths
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["enumerate", "total", "gf", "verify", "asymptotic"]))
+    if command == "verify":
+        suite = draw(st.sampled_from(sorted(verify.SUITES)))
+        accepted = cli._VERIFY_FLAGS[suite]
+        flags = [f for f in _VERIFY_CAPS if f in accepted or _given(draw, 2)]
+        if not flags:  # bellshift, asym and all take no caps and would run in full
+            flags = [draw(st.sampled_from(_VERIFY_CAPS))]
+        argv = ["verify", "--suite", suite]
+        for flag in flags:
+            argv += ["--" + flag.replace("_", "-"), str(draw(_ENUM_N if flag == "max_n" else _SMALL))]
+        return argv
+    # (flag, values or None for a bare switch, chance in tenths)
+    options = {
+        "enumerate": [
+            ("--n", _ENUM_N, 9),
+            ("--k", _SMALL, 5),
+            ("--stat", st.sampled_from(["swrec", "srec", "rec", "max"]), 5),
+            ("--cap", _SMALL, 2),
+        ],
+        "total": [
+            ("--n", _ENUM_N, 9),
+            ("--method", st.sampled_from(["formula", "brute", "egf", "dp"]), 5),
+            ("--brute-cap", _SMALL, 2),
+            ("--formula-cap", _SMALL, 2),
+        ],
+        "gf": [
+            ("--k", _SMALL, 9),
+            ("--max-n", _SMALL, 9),
+            ("--format", st.sampled_from(["json", "csv", "xml"]), 5),
+        ],
+        "asymptotic": [
+            ("--ns", st.lists(st.sampled_from(["-1", "0", "1", "3", "14", "1001", "x", " ", ""]),
+                              max_size=3).map(",".join), 9),
+            ("--json", None, 2),
+        ],
+    }[command]
+    argv = [command]
+    for flag, values, tenths in options:
+        if _given(draw, tenths):
+            argv += [flag] if values is None else [flag, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

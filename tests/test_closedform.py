@@ -6,19 +6,16 @@ from fractions import Fraction
 import pytest
 
 from partition_records import (
+    BellStirlingTables,
     UniSeries,
     bell_egf,
     bell_numbers,
     build_tables,
     egf_w,
     enumerate_rgs,
-    load_or_build_tables,
-    shifted_bell_coefficient,
-    shifted_bell_series,
     total_swrec_bruteforce,
     total_swrec_formula,
 )
-from partition_records.closedform import read_bell_cache, write_bell_cache
 
 
 def test_bell_small_values():
@@ -78,27 +75,6 @@ def test_egf_w_requires_headroom():
         egf_w(6, small)
 
 
-def test_shifted_bell_identities(tables):
-    order = 25
-    for j in range(4):
-        series = shifted_bell_series(j, order, tables)
-        for n in range(order + 1):
-            assert series.egf_coefficient(n) == shifted_bell_coefficient(j, n, tables)
-
-
-def test_shifted_bell_j0_is_bell(tables):
-    series = shifted_bell_series(0, 12, tables)
-    for n in range(13):
-        assert series.egf_coefficient(n) == tables.bell_number(n)
-
-
-def test_shifted_bell_rejects_bad_j(tables):
-    with pytest.raises(ValueError):
-        shifted_bell_series(4, 10, tables)
-    with pytest.raises(ValueError):
-        shifted_bell_coefficient(5, 3, tables)
-
-
 def test_total_formula_values(tables):
     assert total_swrec_formula(0, tables) == 0
     assert total_swrec_formula(1, tables) == 1
@@ -116,44 +92,27 @@ def test_total_formula_is_always_integral(tables):
         assert isinstance(total_swrec_formula(n, tables), int)
 
 
+def test_total_formula_matches_rational_form(tables):
+    # The integer evaluation against the paper's rational form.
+    b = tables.bell
+    for n in range(tables.max_n - 2):
+        expected = (
+            Fraction(3, 4) * (b[n + 3] - b[n + 2])
+            - (n + Fraction(7, 4)) * b[n + 1]
+            - Fraction(n + 1, 2) * b[n]
+        )
+        assert total_swrec_formula(n, tables) == expected
+
+
+def test_total_formula_rejects_corrupt_tables():
+    bell = list(bell_numbers(12))
+    bell[9] += 1  # 4T moves by 3: not a multiple of 4 at n = 6
+    corrupt = BellStirlingTables(bell=tuple(bell), stirling=((1,),))
+    with pytest.raises(ArithmeticError, match="n=6 is not an integer"):
+        total_swrec_formula(6, corrupt)
+
+
 def test_total_formula_needs_tables():
     small = build_tables(4)
     with pytest.raises(ValueError):
         total_swrec_formula(2, small)
-
-
-# ---------------------------------------------------------------------------
-# cache file
-# ---------------------------------------------------------------------------
-
-
-def test_cache_round_trip(tmp_path):
-    path = tmp_path / "bell.txt"
-    bell = bell_numbers(12)
-    write_bell_cache(str(path), bell)
-    assert read_bell_cache(str(path)) == bell
-    text = path.read_text()
-    assert text.splitlines()[3] == "3 5"
-
-
-def test_load_or_build_writes_then_reads(tmp_path):
-    cache_dir = str(tmp_path)
-    t1 = load_or_build_tables(10, cache_dir=cache_dir)
-    cache_file = tmp_path / "bell.txt"
-    assert cache_file.exists()
-    before = cache_file.read_text()
-    t2 = load_or_build_tables(8, cache_dir=cache_dir)  # shorter: reuse the file
-    assert cache_file.read_text() == before
-    assert t2.bell == t1.bell[:9]
-
-
-def test_load_or_build_rebuilds_on_corrupt_cache(tmp_path):
-    (tmp_path / "bell.txt").write_text("0 1\n5 nonsense\n")
-    t = load_or_build_tables(6, cache_dir=str(tmp_path))
-    assert t.bell == tuple(bell_numbers(6))
-    assert read_bell_cache(str(tmp_path / "bell.txt")) == bell_numbers(6)
-
-
-def test_load_or_build_without_cache_dir():
-    t = load_or_build_tables(6)
-    assert t.bell == tuple(bell_numbers(6))
