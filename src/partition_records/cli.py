@@ -127,15 +127,26 @@ _VERIFY_FLAGS: dict[str, dict[str, str]] = {
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     accepted = _VERIFY_FLAGS[args.suite]
-    kwargs = {}
+    kwargs, typed = {}, {}
     for flag in ("max_n", "max_k", "order", "points"):
         value = getattr(args, flag)
         if value is None:
             continue
+        name = f"--{flag.replace('_', '-')}"
         if flag not in accepted:
-            raise ValueError(f"--{flag.replace('_', '-')} does not apply to suite {args.suite}")
+            raise ValueError(f"{name} does not apply to suite {args.suite}")
         kwargs[accepted[flag]] = value
-    outcome = verify_mod.SUITES[args.suite](**kwargs)
+        typed[accepted[flag]] = name
+    try:
+        outcome = verify_mod.SUITES[args.suite](**kwargs)
+    except ValueError as exc:
+        # The suites name their keywords ("formula_max_n=501 exceeds ...");
+        # name the flag that set it instead.
+        message = str(exc)
+        keyword, sep, rest = message.partition("=")
+        if sep and keyword in typed:
+            message = f"{typed[keyword]}={rest}"
+        raise ValueError(message) from None
     print(json.dumps(outcome.to_json_dict(), indent=2))
     return 0 if outcome.passed else 1
 

@@ -10,8 +10,12 @@ Two representations are provided:
 ``BiSeries``
     A power series in x whose coefficients are integer polynomials in a
     second variable q.  Truncation applies to x only; the q-degree is
-    never truncated.  Storage is a tuple indexed by x-power, each entry a
-    sparse map {q-power: nonzero int coefficient}.
+    never truncated.  Storage is a tuple indexed by x-power of dense rows
+    ``(lo, coeffs)``: q^lo * sum_j coeffs[j] q^j, with ``coeffs`` a tuple
+    of ints trimmed of zeros at both ends, so every row has one form.
+    Only outside input is checked (``BiSeries(...)``, ``from_terms``,
+    ``monomial``, the arguments of ``geometric``); products and
+    substitutions build canonical rows and skip the check.
 
 Closed-form geometric factors
     ``BiSeries.geometric(c, qbase, qstep, order)`` is the truncated
@@ -23,7 +27,8 @@ Closed-form geometric factors
     which costs O(order * row terms) in place of the generic
     O(order^2 * row terms) convolution.  Both paths run inside ``*``; the
     rows they produce are identical, products carry no triple, and
-    equality compares rows only.
+    equality compares rows only.  On dense rows each step of the
+    recurrence is a shift of two rows and one elementwise sum.
 
 Everything is exact: floating-point coefficients are rejected, and no
 operation ever reads past the truncation order.  All values are
@@ -221,37 +226,86 @@ class UniSeries:
         return f"UniSeries({[str(c) for c in self._coeffs]})"
 
 
+# A BiSeries row q^lo * sum_j coeffs[j] q^j as (lo, coeffs), trimmed of
+# zeros at both ends; every zero row is the one shared _EMPTY_ROW.
+_Row = tuple[int, tuple[int, ...]]
+_EMPTY_ROW: _Row = (0, ())
+
+
+def _dense_row(terms: Mapping[int, int]) -> _Row:
+    """The canonical row of a {q-power: int} map."""
+    powers = [s for s, c in terms.items() if c]
+    if not powers:
+        return _EMPTY_ROW
+    lo = min(powers)
+    cs = [0] * (max(powers) - lo + 1)
+    for s in powers:
+        cs[s - lo] = terms[s]
+    return lo, tuple(cs)
+
+
+def _add_scaled(out: list[int], at: int, c: int, cs: tuple[int, ...]) -> None:
+    """out[at + j] += c * cs[j] for every j."""
+    stop = at + len(cs)
+    out[at:stop] = [v + c * w for v, w in zip(out[at:stop], cs)]
+
+
+def _trimmed(lo: int, cs: list[int]) -> _Row:
+    """The row q^lo * sum_j cs[j] q^j with zeros cut from both ends."""
+    end = len(cs)
+    while end and not cs[end - 1]:
+        end -= 1
+    if not end:
+        return _EMPTY_ROW
+    start = 0
+    while not cs[start]:
+        start += 1
+    return lo + start, tuple(cs[start:end])
+
+
 class BiSeries:
     """Power series in x with exact integer polynomial coefficients in q.
 
     Truncated in x at a fixed order; q-powers are kept exactly (no q
-    truncation).  Zero q-coefficients are never stored.
+    truncation).  Each x^n row is stored densely as ``(lo, coeffs)``,
+    meaning q^lo * sum_j coeffs[j] q^j, with ``coeffs`` a tuple of ints
+    trimmed of zeros at both ends; the zero row is ``(0, ())``.  Rows are
+    canonical, so equal series have equal rows.  The constructor checks
+    and converts outside input; rows built by the operations below are
+    canonical by construction and are not checked again.
     """
 
-    __slots__ = ("_coeffs", "_geometric")
+    __slots__ = ("_rows", "_geometric")
 
     def __init__(self, coeffs: Iterable[Mapping[int, int]], order: int | None = None):
-        rows: list[dict[int, int]] = []
+        rows: list[_Row] = []
         for row in coeffs:
-            clean: dict[int, int] = {}
             for s, c in row.items():
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError("BiSeries coefficients must be plain ints")
+                if not isinstance(s, int) or isinstance(s, bool):
+                    raise TypeError("q-powers must be plain ints")
                 if s < 0:
                     raise ValueError("q-powers must be >= 0")
-                if c:
-                    clean[s] = c
-            rows.append(clean)
+            rows.append(_dense_row(row))
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
             rows = rows[: order + 1]
-            rows.extend({} for _ in range(order + 1 - len(rows)))
+            rows.extend([_EMPTY_ROW] * (order + 1 - len(rows)))
         elif not rows:
             raise ValueError("a series needs at least the x^0 row (or pass order=)")
-        self._coeffs = tuple(rows)
+        self._rows = tuple(rows)
         # (c, qbase, qstep) when the rows are x q^qbase / (1 - c x q^qstep)
         self._geometric: tuple[int, int, int] | None = None
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[_Row, ...]) -> "BiSeries":
+        """A series over rows already in canonical form; nothing is checked or copied."""
+        series = cls.__new__(cls)
+        series._rows = rows
+        series._geometric = None
+        return series
 
     # -- constructors -------------------------------------------------
 
@@ -291,9 +345,14 @@ class BiSeries:
                 raise TypeError(f"{name} must be a plain int")
         if qbase < 0 or qstep < 0:
             raise ValueError("q-powers must be >= 0")
-        series = cls.from_terms(
-            ((j + 1, qbase + j * qstep, c**j) for j in range(order)), order
-        )
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        rows = [_EMPTY_ROW]
+        power = 1
+        for j in range(order):
+            rows.append((qbase + j * qstep, (power,)) if power else _EMPTY_ROW)
+            power *= c
+        series = cls._from_rows(tuple(rows))
         series._geometric = (c, qbase, qstep)
         return series
 
@@ -301,19 +360,21 @@ class BiSeries:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._rows) - 1
 
     def q_coefficients(self, n: int) -> dict[int, int]:
         """The coefficient of x^n as a map {q-power: int}; zero entries omitted."""
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
-        return dict(self._coeffs[n])
+        lo, cs = self._rows[n]
+        return {lo + j: c for j, c in enumerate(cs) if c}
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
         """Yield (x-power, q-power, coefficient) triples in sorted order."""
-        for n, row in enumerate(self._coeffs):
-            for s in sorted(row):
-                yield n, s, row[s]
+        for n, (lo, cs) in enumerate(self._rows):
+            for j, c in enumerate(cs):
+                if c:
+                    yield n, lo + j, c
 
     def _require_same_order(self, other: "BiSeries") -> None:
         if self.order != other.order:
@@ -329,57 +390,68 @@ class BiSeries:
             return self._times_geometric(*other._geometric)
         if self._geometric is not None:
             return other._times_geometric(*self._geometric)
-        order = self.order
-        rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
-        for n1, row1 in enumerate(self._coeffs):
-            if not row1:
+        a, b = self._rows, other._rows
+        rows: list[_Row] = []
+        for n in range(self.order + 1):
+            pairs = [(a[i], b[n - i]) for i in range(n + 1) if a[i][1] and b[n - i][1]]
+            if not pairs:
+                rows.append(_EMPTY_ROW)
                 continue
-            for n2 in range(order + 1 - n1):
-                row2 = other._coeffs[n2]
-                if not row2:
-                    continue
-                target = rows[n1 + n2]
-                for s1, c1 in row1.items():
-                    for s2, c2 in row2.items():
-                        s = s1 + s2
-                        v = target.get(s, 0) + c1 * c2
-                        if v:
-                            target[s] = v
-                        elif s in target:
-                            del target[s]
-        return BiSeries(rows)
+            lo = min(lo1 + lo2 for (lo1, _), (lo2, _) in pairs)
+            end = max(lo1 + len(cs1) + lo2 + len(cs2) - 1 for (lo1, cs1), (lo2, cs2) in pairs)
+            out = [0] * (end - lo)
+            for (lo1, cs1), (lo2, cs2) in pairs:
+                at = lo1 + lo2 - lo
+                for j, c1 in enumerate(cs1):
+                    if c1:
+                        _add_scaled(out, at + j, c1, cs2)
+            rows.append(_trimmed(lo, out))
+        return BiSeries._from_rows(tuple(rows))
 
     def _times_geometric(self, c: int, qbase: int, qstep: int) -> "BiSeries":
-        """self * x q^qbase / (1 - c x q^qstep), truncated at self's order.
-        Terms that cancel to 0 are dropped by the constructor."""
-        rows: list[dict[int, int]] = [{}]
-        for prev in self._coeffs[:-1]:
-            row = {s + qstep: c * v for s, v in rows[-1].items()} if c else {}
-            for s, v in prev.items():
-                row[s + qbase] = row.get(s + qbase, 0) + v
-            rows.append(row)
-        return BiSeries(rows)
+        """self * x q^qbase / (1 - c x q^qstep), truncated at self's order,
+        by row[n] = q^qbase S[n-1] + c q^qstep row[n-1]."""
+        rows: list[_Row] = [_EMPTY_ROW]
+        for plo, pcs in self._rows[:-1]:
+            rlo, rcs = rows[-1]
+            if not (c and rcs):
+                rows.append((plo + qbase, pcs) if pcs else _EMPTY_ROW)
+            elif not pcs:
+                rows.append((rlo + qstep, tuple([c * v for v in rcs])))
+            else:
+                # both terms are nonzero; they may cancel where they overlap
+                plo += qbase
+                rlo += qstep
+                lo = min(plo, rlo)
+                out = [0] * (max(plo + len(pcs), rlo + len(rcs)) - lo)
+                out[plo - lo : plo - lo + len(pcs)] = pcs
+                _add_scaled(out, rlo - lo, c, rcs)
+                rows.append(_trimmed(lo, out))
+        return BiSeries._from_rows(tuple(rows))
 
     def substitute_x_qpow(self, k: int) -> "BiSeries":
         """Substitute x -> x * q^k: each term (n, s, c) becomes (n, s + k*n, c)."""
         if k < 0:
             raise ValueError("substitution power must be >= 0")
-        rows = [{s + k * n: c for s, c in row.items()} for n, row in enumerate(self._coeffs)]
-        return BiSeries(rows)
+        return BiSeries._from_rows(
+            tuple((lo + k * n, cs) if cs else _EMPTY_ROW for n, (lo, cs) in enumerate(self._rows))
+        )
 
     def q_weighted_sum(self) -> UniSeries:
         """Apply d/dq then set q = 1: the x^n coefficient becomes sum_s s * c_{n,s}.
 
         This is exact integer arithmetic packaged as a ``UniSeries``.
         """
-        return UniSeries([sum(s * c for s, c in row.items()) for row in self._coeffs])
+        return UniSeries(
+            [sum((lo + j) * c for j, c in enumerate(cs)) for lo, cs in self._rows]
+        )
 
     # -- misc ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._rows == other._rows
 
     def __repr__(self) -> str:
         parts = [f"({n},{s}):{c}" for n, s, c in self.terms()]

@@ -198,6 +198,21 @@ def test_verify_vacuous_or_ignored_flags_are_usage_errors(argv, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
+    "value, error",
+    [
+        ("501", "error: --max-n=501 exceeds the formula cap 500\n"),
+        ("-3", "error: --max-n=-3 must be >= 0\n"),
+    ],
+)
+def test_verify_errors_name_the_flag(value, error, capsys):
+    # thm2's --max-n sets the suite keyword formula_max_n
+    assert cli.main(["verify", "--suite", "thm2", "--max-n", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error
+
+
+@pytest.mark.parametrize(
     "argv, kwargs",
     [
         (["--suite", "eq1", "--max-n", "4"], {"max_n": 4}),

@@ -301,3 +301,66 @@ def test_bi_mul_two_geometric_factors(order, f, g):
     expected = plain_geometric(*f, order) * plain_geometric(*g, order)
     assert a * b == expected
     assert b * a == expected
+
+
+# ---------------------------------------------------------------------------
+# canonical rows: outside input is checked, kernel rows need no check
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rows, order, error",
+    [
+        ([{0: True}], None, TypeError),
+        ([{0.5: 1}], None, TypeError),
+        ([{True: 1}], None, TypeError),
+        ([{-1: 1}], None, ValueError),
+        ([], -1, ValueError),
+    ],
+)
+def test_bi_rejects_outside_input(rows, order, error):
+    with pytest.raises(error):
+        BiSeries(rows, order=order)
+
+
+def rebuilt(series):
+    """The same series through the validating constructor."""
+    return BiSeries([series.q_coefficients(n) for n in range(series.order + 1)])
+
+
+def test_bi_rows_cancelling_to_zero_are_canonical():
+    # (1 - x q) * x / (1 - x q): every row past x^1 cancels
+    x = BiSeries([{0: 1}, {1: -1}], order=3)
+    product = x * BiSeries.geometric(1, 0, 1, 3)
+    assert product == rebuilt(product) == BiSeries.monomial(1, 1, 0, 3)
+    # (1 + x q)(1 - x q) by the generic convolution: the x^1 row cancels
+    plus = BiSeries.from_terms([(0, 0, 1), (1, 1, 1)], 2)
+    minus = BiSeries.from_terms([(0, 0, 1), (1, 1, -1)], 2)
+    product = plus * minus
+    assert product == rebuilt(product) == BiSeries.from_terms([(0, 0, 1), (2, 2, -1)], 2)
+
+
+@given(st.data(), geometric_args, st.integers(min_value=0, max_value=4))
+def test_bi_kernel_rows_are_canonical(data, args, k):
+    # Equality compares stored rows, so a kernel row with a zero at either
+    # end, or a zero row not stored as the shared empty row, differs from
+    # the row the validating constructor builds for the same coefficients.
+    order = data.draw(st.integers(min_value=0, max_value=5))
+    x = data.draw(bi_series(order=order))
+    y = data.draw(bi_series(order=order))
+    c, _, qstep = args
+    factor = BiSeries.geometric(*args, order)
+    # x (1 - c x q^qstep): its products with the factor cancel, at row
+    # ends and often to zero rows, on both the O(order) and generic paths
+    cancelling = x * BiSeries.from_terms([(0, 0, 1), (1, qstep, -c)], order)
+    for series in (
+        factor,
+        x * factor,
+        factor * x,
+        cancelling * factor,
+        factor * cancelling,
+        cancelling * plain_geometric(*args, order),
+        x.substitute_x_qpow(k),
+        x * y,
+    ):
+        assert series == rebuilt(series)
