@@ -35,9 +35,7 @@ from .setpartitions import (
     is_valid_rgs,
     rec_count,
     records,
-    rgs_from_blocks,
     srec,
-    sum_of_squares,
     swrec,
     swrec_histogram,
     total_swrec_bruteforce,
@@ -72,11 +70,9 @@ __all__ = [
     "pole_expansion_coeffs",
     "rec_count",
     "records",
-    "rgs_from_blocks",
     "solve_r",
     "srec",
     "stirling_triangle",
-    "sum_of_squares",
     "swrec",
     "swrec_histogram",
     "total_swrec_bruteforce",

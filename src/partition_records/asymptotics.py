@@ -31,11 +31,14 @@ import mpmath as mp
 
 from .closedform import BellStirlingTables, total_swrec_formula
 
-DEFAULT_TOL = 1e-12
+# solve_r stops at relative residual |r e^r - t| / t <= _TOL, and falls back
+# to bisection after _NEWTON_STEPS Newton steps.
+_TOL = 1e-12
+_NEWTON_STEPS = 100
 
 
-def solve_r(t: float, tol: float = DEFAULT_TOL, max_iter: int = 100) -> float:
-    """The positive root of r * e^r = t, to relative residual ``tol``.
+def solve_r(t: float) -> float:
+    """The positive root of r * e^r = t, to relative residual 1e-12.
 
     Newton iteration from max(ln t - ln ln t, small constant); the
     function is smooth, increasing and convex on r > 0, so Newton
@@ -49,10 +52,10 @@ def solve_r(t: float, tol: float = DEFAULT_TOL, max_iter: int = 100) -> float:
     else:
         r = 1e-3
     r = max(r, 1e-3)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         er = math.exp(r)
         f = r * er - t
-        if abs(f) <= tol * t:
+        if abs(f) <= _TOL * t:
             return r
         step = f / ((1.0 + r) * er)
         if r - step <= 0.0:
@@ -64,7 +67,7 @@ def solve_r(t: float, tol: float = DEFAULT_TOL, max_iter: int = 100) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f = mid * math.exp(mid) - t
-        if abs(f) <= tol * t:
+        if abs(f) <= _TOL * t:
             return mid
         if f < 0:
             lo = mid

@@ -5,13 +5,13 @@ Data goes to stdout, logs and errors to stderr.  Exit codes: 0 success
 (verify: all cases passed), 1 verification failures, 2 usage errors.
 Output for a given set of flags is deterministic, except for the
 ``elapsed_ms`` timing field of verify outcomes.  A usage error is one
-``error:`` line on stderr.
+``error:`` line on stderr that names the flag at fault.
 
-Every size is checked against a fixed cap before any work starts: the
-enumeration cap for ``enumerate`` and ``total --method brute``,
-``closedform.FORMULA_CAP`` for the other ``total`` methods and ``verify
---suite thm2``, and the ``*_MAX_*`` constants below for ``asymptotic``
-and ``gf``.  No environment variable is read.
+Every size is checked against its minimum and a fixed cap before any work
+starts: the enumeration cap for ``enumerate`` and ``total --method
+brute``, ``closedform.FORMULA_CAP`` for the other ``total`` methods and
+``verify --suite thm2``, and the ``*_MAX_*`` constants below for
+``asymptotic`` and ``gf``.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .setpartitions import (
     rec_count,
     srec,
     swrec,
+    total_swrec_bruteforce,
 )
 
 # Caps of the sizes that are not bounded elsewhere: every n of
@@ -51,9 +52,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _check_cap(name: str, value: int, cap: int, what: str) -> None:
-    if value > cap:
-        raise ValueError(f"{name}={value} exceeds the {what} cap {cap}")
+def _check_flag(
+    flag: str, value: int, minimum: int, cap: int | None = None, what: str = ""
+) -> None:
+    """Refuse a flag's value below its minimum or past the ``what`` cap."""
+    if value < minimum:
+        raise ValueError(f"{flag}={value} must be >= {minimum}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{flag}={value} exceeds the {what} cap {cap}")
 
 
 def _format_word(word: tuple[int, ...], n: int) -> str:
@@ -67,7 +73,9 @@ def _format_word(word: tuple[int, ...], n: int) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_cap("n", args.n, DEFAULT_ENUMERATION_CAP, "enumeration")
+    _check_flag("--n", args.n, 0, DEFAULT_ENUMERATION_CAP, "enumeration")
+    if args.k is not None:
+        _check_flag("--k", args.k, 1)
     stat = _STATS[args.stat] if args.stat else None
     for word in enumerate_rgs(args.n, args.k):
         line = _format_word(word, args.n)
@@ -79,11 +87,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_total(args: argparse.Namespace) -> int:
     if args.method == "brute":
-        from .setpartitions import total_swrec_bruteforce
-
-        print(total_swrec_bruteforce(args.n))  # refuses n past the enumeration cap
+        _check_flag("--n", args.n, 0, DEFAULT_ENUMERATION_CAP, "enumeration")
+        print(total_swrec_bruteforce(args.n))
         return 0
-    _check_cap("n", args.n, FORMULA_CAP, "formula")
+    _check_flag("--n", args.n, 0, FORMULA_CAP, "formula")
     tables = build_tables(args.n + 3, stirling_max_n=0)
     if args.method == "formula":
         print(total_swrec_formula(args.n, tables))
@@ -97,8 +104,8 @@ def _cmd_total(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    _check_cap("k", args.k, GF_MAX_K, "gf")
-    _check_cap("max_n", args.max_n, GF_MAX_N, "gf")
+    _check_flag("--k", args.k, 1, GF_MAX_K, "gf")
+    _check_flag("--max-n", args.max_n, 0, GF_MAX_N, "gf")
     series = gf_product(args.k, args.max_n)
     rows = [[n, s, c] for n, s, c in series.terms()]
     if args.format == "csv":
@@ -110,43 +117,43 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     return 0
 
 
-# The verify flags each suite accepts, and the keyword of the suite
-# function each one sets.  Any other flag is a usage error.
-_VERIFY_FLAGS: dict[str, dict[str, str]] = {
-    "eq1": {"max_n": "max_n"},
-    "recurrence": {"max_k": "max_k", "order": "order"},
-    "lemma2": {"max_k": "max_k", "order": "order", "max_n": "max_n"},
-    "propn": {"max_k": "max_k", "points": "points"},
-    "thm2": {"max_n": "formula_max_n"},
-    "thm3": {"max_n": "max_n"},
-    "bellshift": {},
-    "asym": {},
-    "all": {},
+# The verify flags each suite accepts; each sets the suite keyword of the
+# same name (--max-n sets max_n).  Any other flag is a usage error.
+_VERIFY_FLAGS: dict[str, tuple[str, ...]] = {
+    "eq1": ("max_n",),
+    "recurrence": ("max_k", "order"),
+    "lemma2": ("max_k", "order", "max_n"),
+    "propn": ("max_k", "points"),
+    "thm2": ("max_n",),
+    "thm3": ("max_n",),
+    "bellshift": (),
+    "asym": (),
+    "all": (),
 }
 
 
+def _flag(keyword: str) -> str:
+    return "--" + keyword.replace("_", "-")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    accepted = _VERIFY_FLAGS[args.suite]
-    kwargs, typed = {}, {}
-    for flag in ("max_n", "max_k", "order", "points"):
-        value = getattr(args, flag)
+    kwargs = {}
+    for keyword in ("max_n", "max_k", "order", "points"):
+        value = getattr(args, keyword)
         if value is None:
             continue
-        name = f"--{flag.replace('_', '-')}"
-        if flag not in accepted:
-            raise ValueError(f"{name} does not apply to suite {args.suite}")
-        kwargs[accepted[flag]] = value
-        typed[accepted[flag]] = name
+        if keyword not in _VERIFY_FLAGS[args.suite]:
+            raise ValueError(f"{_flag(keyword)} does not apply to suite {args.suite}")
+        kwargs[keyword] = value
     try:
         outcome = verify_mod.SUITES[args.suite](**kwargs)
     except ValueError as exc:
-        # The suites name their keywords ("formula_max_n=501 exceeds ...");
-        # name the flag that set it instead.
-        message = str(exc)
-        keyword, sep, rest = message.partition("=")
-        if sep and keyword in typed:
-            message = f"{typed[keyword]}={rest}"
-        raise ValueError(message) from None
+        # The suites check their own ranges and name the keyword
+        # ("max_n=501 exceeds ..."); name the flag that set it instead.
+        keyword, sep, rest = str(exc).partition("=")
+        if not (sep and keyword in kwargs):
+            raise
+        raise ValueError(f"{_flag(keyword)}={rest}") from None
     print(json.dumps(outcome.to_json_dict(), indent=2))
     return 0 if outcome.passed else 1
 
@@ -164,7 +171,7 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--ns must be a comma-separated list of positive integers, got {args.ns!r}"
         ) from None
-    _check_cap("n", max(ns), ASYMPTOTIC_MAX_N, "asymptotic")
+    _check_flag("--ns", max(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
     tables = build_tables(max(ns) + 3, stirling_max_n=0)
     reports = asymptotic_report(ns, tables)
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))

@@ -14,8 +14,8 @@ Two representations are provided:
     ``(lo, coeffs)``: q^lo * sum_j coeffs[j] q^j, with ``coeffs`` a tuple
     of ints trimmed of zeros at both ends, so every row has one form.
     Only outside input is checked (``BiSeries(...)``, ``from_terms``,
-    ``monomial``, the arguments of ``geometric``); products and
-    substitutions build canonical rows and skip the check.
+    the arguments of ``geometric``); products and substitutions build
+    canonical rows and skip the check.
 
 Closed-form geometric factors
     ``BiSeries.geometric(c, qbase, qstep, order)`` is the truncated
@@ -144,28 +144,21 @@ class UniSeries:
         f = _as_fraction(c)
         return UniSeries([a * f for a in self._coeffs])
 
-    def __mul__(self, other):
-        if isinstance(other, UniSeries):
-            self._require_same_order(other)
-            n = self.order
-            a, b = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (n + 1)
-            for i, ai in enumerate(a):
-                if not ai:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-            return UniSeries(out)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    def __mul__(self, other: "UniSeries") -> "UniSeries":
+        if not isinstance(other, UniSeries):
+            return NotImplemented
+        self._require_same_order(other)
+        n = self.order
+        a, b = self._coeffs, other._coeffs
+        out = [Fraction(0)] * (n + 1)
+        for i, ai in enumerate(a):
+            if not ai:
+                continue
+            for j in range(n + 1 - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+        return UniSeries(out)
 
     def shift(self, m: int) -> "UniSeries":
         """Multiply by x^m (coefficients move up; the tail is truncated)."""
@@ -218,9 +211,6 @@ class UniSeries:
         if not isinstance(other, UniSeries):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         return f"UniSeries({[str(c) for c in self._coeffs]})"
@@ -310,20 +300,8 @@ class BiSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls([], order=order)
-
-    @classmethod
     def one(cls, order: int) -> "BiSeries":
         return cls([{0: 1}], order=order)
-
-    @classmethod
-    def monomial(cls, coeff: int, xpow: int, qpow: int, order: int) -> "BiSeries":
-        """coeff * x^xpow * q^qpow, truncated at ``order`` in x."""
-        rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
-        if 0 <= xpow <= order and coeff:
-            rows[xpow] = {qpow: coeff}
-        return cls(rows)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int, int]], order: int) -> "BiSeries":

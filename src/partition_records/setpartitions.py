@@ -16,6 +16,9 @@ For a valid RGS with k blocks the records turn out to be exactly the
 first occurrences of 1 .. k; the functions below nevertheless compute
 records from the general definition, and the test-suite checks the
 first-occurrence characterisation by enumeration instead of assuming it.
+``records`` lists the records themselves; the three statistics read their
+values from one private scan, ``_record_sums``, which the tests check
+against ``records``.
 
 Everything here is exhaustive enumeration and direct counting: this
 module is the independent oracle the generating-function and
@@ -48,11 +51,6 @@ DEFAULT_ENUMERATION_CAP = 12
 class RecordEntry(NamedTuple):
     position: int  # 1-based
     value: int
-
-
-def sum_of_squares(n: int) -> int:
-    """1^2 + 2^2 + ... + n^2 = n(n+1)(2n+1)/6."""
-    return n * (n + 1) * (2 * n + 1) // 6
 
 
 def is_valid_rgs(word: Sequence[int]) -> bool:
@@ -143,37 +141,31 @@ def records(word: Sequence[int]) -> list[RecordEntry]:
     return out
 
 
-def swrec(word: Sequence[int]) -> int:
-    """Sum of position * value over the records of ``word``."""
-    total = 0
-    top = 0
+def _record_sums(word: Sequence[int]) -> tuple[int, int, int]:
+    """(number of records, sum of their positions, sum of position * value)."""
+    count = positions = weighted = top = 0
     for pos, v in enumerate(word, 1):
         if v > top:
             top = v
-            total += pos * v
-    return total
+            count += 1
+            positions += pos
+            weighted += pos * v
+    return count, positions, weighted
+
+
+def swrec(word: Sequence[int]) -> int:
+    """Sum of position * value over the records of ``word``."""
+    return _record_sums(word)[2]
 
 
 def srec(word: Sequence[int]) -> int:
     """Sum of the record positions of ``word``."""
-    total = 0
-    top = 0
-    for pos, v in enumerate(word, 1):
-        if v > top:
-            top = v
-            total += pos
-    return total
+    return _record_sums(word)[1]
 
 
 def rec_count(word: Sequence[int]) -> int:
     """Number of records of ``word``."""
-    count = 0
-    top = 0
-    for v in word:
-        if v > top:
-            top = v
-            count += 1
-    return count
+    return _record_sums(word)[0]
 
 
 def blocks_from_rgs(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -185,30 +177,6 @@ def blocks_from_rgs(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     for i, v in enumerate(word, 1):
         blocks[v - 1].append(i)
     return tuple(tuple(b) for b in blocks)
-
-
-def rgs_from_blocks(blocks: Sequence[Sequence[int]]) -> Word:
-    """Convert blocks (disjoint, nonempty, covering 1..n, ordered by
-    minima) back to the canonical word; malformed input raises ValueError."""
-    seen: dict[int, int] = {}
-    prev_min: int | None = None
-    for idx, block in enumerate(blocks, 1):
-        elems = sorted(block)
-        if not elems:
-            raise ValueError("blocks must be nonempty")
-        if prev_min is not None and elems[0] <= prev_min:
-            raise ValueError("blocks must be ordered by strictly increasing minima")
-        prev_min = elems[0]
-        for e in elems:
-            if not isinstance(e, int) or e < 1:
-                raise ValueError(f"block elements must be positive integers, got {e!r}")
-            if e in seen:
-                raise ValueError(f"element {e} appears in more than one block")
-            seen[e] = idx
-    n = len(seen)
-    if set(seen) != set(range(1, n + 1)):
-        raise ValueError("blocks must cover 1..n with no gaps")
-    return tuple(seen[i] for i in range(1, n + 1))
 
 
 def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:

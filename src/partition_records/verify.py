@@ -24,7 +24,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import closedform, genfunc, setpartitions
 from .asymptotics import asymptotic_report, bell_shift_error
@@ -153,6 +153,7 @@ def run_recurrence(
 ) -> VerificationOutcome:
     """Product vs. recurrence construction, coefficient-wise, one case per k."""
     _check_at_least(1, max_k=max_k)
+    _check_at_least(0, order=order)
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -179,6 +180,7 @@ def run_lemma2(
     (per k, through x^order), then closed-form coefficients vs. enumeration
     totals (per (n, k) cell, n <= max_n)."""
     _check_at_least(1, max_k=max_k, max_n=max_n)
+    _check_at_least(0, order=order)
     _check_at_most(setpartitions.DEFAULT_ENUMERATION_CAP, "enumeration", max_n=max_n)
     started = time.perf_counter()
     rec = _Recorder()
@@ -226,34 +228,37 @@ def run_propn(
 
 
 def run_thm2(
-    sum_max_n: int = DEFAULT_SUM_MAX_N,
-    formula_max_n: int = DEFAULT_FORMULA_MAX_N,
-    denom_max_n: int = DEFAULT_DENOM_MAX_N,
-    tables: BellStirlingTables | None = None,
+    max_n: int = DEFAULT_FORMULA_MAX_N, tables: BellStirlingTables | None = None
 ) -> VerificationOutcome:
-    """EGF coefficients vs. (a) sums of per-block-count totals for small n,
-    (b) the exact Bell-number formula up to formula_max_n, and (c) the
-    integrality of that formula up to denom_max_n."""
-    _check_at_least(0, sum_max_n=sum_max_n, formula_max_n=formula_max_n, denom_max_n=denom_max_n)
-    _check_at_most(closedform.FORMULA_CAP, "formula", formula_max_n=formula_max_n)
+    """EGF coefficients vs. (a) sums of per-block-count totals for
+    n <= DEFAULT_SUM_MAX_N, (b) the exact Bell-number formula for
+    n <= max_n, and (c) the integrality of that formula for
+    n <= DEFAULT_DENOM_MAX_N.
+
+    One W(x) serves (a) and (b): the x^n coefficient of a truncated
+    product depends only on the factors' terms up to x^n, so W at a
+    lower order is a prefix of W at a higher one."""
+    _check_at_least(0, max_n=max_n)
+    _check_at_most(closedform.FORMULA_CAP, "formula", max_n=max_n)
     started = time.perf_counter()
     rec = _Recorder()
-    big_order = formula_max_n + 3
+    order = max(DEFAULT_SUM_MAX_N, max_n)
     if tables is None:
-        tables = build_tables(max(big_order + 3, denom_max_n + 3), stirling_max_n=0)
-    w_small = closedform.egf_w(sum_max_n, tables)
-    per_k = [genfunc.total_swrec_series(k, sum_max_n) for k in range(1, sum_max_n + 1)]
-    for n in range(sum_max_n + 1):
+        tables = build_tables(max(order, DEFAULT_DENOM_MAX_N) + 3, stirling_max_n=0)
+    w = closedform.egf_w(order, tables)
+    per_k = [
+        genfunc.total_swrec_series(k, DEFAULT_SUM_MAX_N) for k in range(1, DEFAULT_SUM_MAX_N + 1)
+    ]
+    for n in range(DEFAULT_SUM_MAX_N + 1):
         expected = sum((s.coefficient(n) for s in per_k), Fraction(0))
-        rec.check(f"blocksum n={n}", expected, w_small.egf_coefficient(n))
-    w_big = closedform.egf_w(big_order, tables)
-    for n in range(formula_max_n + 1):
+        rec.check(f"blocksum n={n}", expected, w.egf_coefficient(n))
+    for n in range(max_n + 1):
         rec.check(
             f"formula n={n}",
             Fraction(closedform.total_swrec_formula(n, tables)),
-            w_big.egf_coefficient(n),
+            w.egf_coefficient(n),
         )
-    for n in range(denom_max_n + 1):
+    for n in range(DEFAULT_DENOM_MAX_N + 1):
         try:
             closedform.total_swrec_formula(n, tables)
             rec.check(f"integer n={n}", True, True)
@@ -281,17 +286,15 @@ def run_thm3(
     return rec.finish("thm3", started)
 
 
-def run_bellshift(
-    ns: Sequence[int] = DEFAULT_BELLSHIFT_NS, tables: BellStirlingTables | None = None
-) -> VerificationOutcome:
-    """Shift-expansion relative errors: bounded by 3*log(n)/n and strictly
-    decreasing across the tested n for each shift h."""
+def run_bellshift(tables: BellStirlingTables | None = None) -> VerificationOutcome:
+    """Shift-expansion relative errors at each n of DEFAULT_BELLSHIFT_NS:
+    bounded by 3*log(n)/n and strictly decreasing in n for each shift h."""
     started = time.perf_counter()
     rec = _Recorder()
     if tables is None:
-        tables = build_tables(max(ns) + 3, stirling_max_n=0)
+        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3, stirling_max_n=0)
     errors: dict[int, list[tuple[int, float]]] = {1: [], 2: [], 3: []}
-    for n in sorted(ns):
+    for n in DEFAULT_BELLSHIFT_NS:
         for h in (1, 2, 3):
             err = bell_shift_error(n, h, tables)
             errors[h].append((n, err))
@@ -310,16 +313,15 @@ def run_bellshift(
     return rec.finish("bellshift", started)
 
 
-def run_asym(
-    ns: Sequence[int] = DEFAULT_ASYM_NS, tables: BellStirlingTables | None = None
-) -> VerificationOutcome:
-    """Exact/estimate ratios stay inside (0.2, 1.5); the ratio sequence and
-    the unresolved leading-constant question ride along as diagnostics."""
+def run_asym(tables: BellStirlingTables | None = None) -> VerificationOutcome:
+    """Exact/estimate ratios at each n of DEFAULT_ASYM_NS stay inside
+    (0.2, 1.5); the ratio sequence and the unresolved leading-constant
+    question ride along as diagnostics."""
     started = time.perf_counter()
     rec = _Recorder()
     if tables is None:
-        tables = build_tables(max(ns) + 3 if ns else 3, stirling_max_n=0)
-    reports = asymptotic_report(sorted(ns), tables)
+        tables = build_tables(max(DEFAULT_ASYM_NS) + 3, stirling_max_n=0)
+    reports = asymptotic_report(DEFAULT_ASYM_NS, tables)
     for rep in reports:
         rec.check_that(
             f"ratio n={rep.n}",
@@ -342,7 +344,7 @@ def run_all(tables: BellStirlingTables | None = None) -> VerificationOutcome:
         need = max(
             max(DEFAULT_BELLSHIFT_NS) + 3,
             max(DEFAULT_ASYM_NS) + 3,
-            DEFAULT_FORMULA_MAX_N + 9,
+            DEFAULT_FORMULA_MAX_N + 3,
             DEFAULT_DENOM_MAX_N + 3,
         )
         tables = build_tables(need, stirling_max_n=0)

@@ -130,7 +130,7 @@ def test_asymptotic_ratio_diagnostics(tables):
     reports = asymptotic_report(ns, tables)
     for rep in reports:
         assert 0.2 < rep.ratio < 1.5, (rep.n, rep.ratio)
-    outcome = verify.run_asym(ns=ns, tables=tables)
+    outcome = verify.run_asym(tables=tables)
     assert outcome.passed
     assert outcome.diagnostics["leading_constant_flag"] is True
     ratio_seq = [r for _, r in outcome.diagnostics["ratios"]]

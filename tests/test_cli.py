@@ -205,7 +205,7 @@ def test_verify_vacuous_or_ignored_flags_are_usage_errors(argv, monkeypatch, cap
     ],
 )
 def test_verify_errors_name_the_flag(value, error, capsys):
-    # thm2's --max-n sets the suite keyword formula_max_n
+    # run_thm2 refuses the range and names its keyword max_n
     assert cli.main(["verify", "--suite", "thm2", "--max-n", value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -222,7 +222,7 @@ def test_verify_errors_name_the_flag(value, error, capsys):
             {"max_k": 2, "order": 5, "max_n": 4},
         ),
         (["--suite", "propn", "--points", "3", "--max-k", "2"], {"max_k": 2, "points": 3}),
-        (["--suite", "thm2", "--max-n", "7"], {"formula_max_n": 7}),
+        (["--suite", "thm2", "--max-n", "7"], {"max_n": 7}),
         (["--suite", "thm3", "--max-n", "5"], {"max_n": 5}),
         (["--suite", "bellshift"], {}),
         (["--suite", "asym"], {}),
@@ -242,6 +242,30 @@ def test_verify_flags_set_suite_keywords(argv, kwargs, monkeypatch, capsys):
     assert cli.main(["verify", *argv]) == 0
     assert seen == [kwargs]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["total", "--n", "-5"], "--n=-5 must be >= 0"),
+        (["total", "--n", "-2", "--method", "egf"], "--n=-2 must be >= 0"),
+        (["total", "--n", "501"], "--n=501 exceeds the formula cap 500"),
+        (["total", "--n", "13", "--method", "brute"], "--n=13 exceeds the enumeration cap 12"),
+        (["gf", "--k", "2", "--max-n", "-1"], "--max-n=-1 must be >= 0"),
+        (["gf", "--k", "0", "--max-n", "3"], "--k=0 must be >= 1"),
+        (["gf", "--k", "2", "--max-n", "61"], "--max-n=61 exceeds the gf cap 60"),
+        (["enumerate", "--n", "3", "--k", "0"], "--k=0 must be >= 1"),
+        (["enumerate", "--n", "13"], "--n=13 exceeds the enumeration cap 12"),
+        (["asymptotic", "--ns", "1001"], "--ns=1001 exceeds the asymptotic cap 1000"),
+        (["verify", "--suite", "recurrence", "--order", "-1"], "--order=-1 must be >= 0"),
+        (["verify", "--suite", "lemma2", "--order", "-1"], "--order=-1 must be >= 0"),
+    ],
+)
+def test_usage_errors_name_the_flag(argv, error, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_verify_unknown_suite_is_usage_error():
@@ -453,3 +477,4 @@ def test_cli_contract(argv):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "--" in err.getvalue()  # the line names the flag at fault

@@ -12,12 +12,17 @@ from partition_records import (
     partial_fraction_coeffs,
     partial_fraction_eval,
     pole_expansion_coeffs,
-    sum_of_squares,
     swrec,
     swrec_histogram,
     total_swrec_rational,
     total_swrec_series,
 )
+
+
+def sum_of_squares(n):
+    """1^2 + 2^2 + ... + n^2, summed term by term."""
+    return sum(i * i for i in range(1, n + 1))
+
 
 F = Fraction
 

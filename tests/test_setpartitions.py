@@ -13,13 +13,16 @@ from partition_records import (
     is_valid_rgs,
     rec_count,
     records,
-    rgs_from_blocks,
     srec,
-    sum_of_squares,
     swrec,
     swrec_histogram,
     total_swrec_bruteforce,
 )
+
+
+def sum_of_squares(n):
+    """1^2 + 2^2 + ... + n^2, summed term by term."""
+    return sum(i * i for i in range(1, n + 1))
 
 
 def stirling2(n, k, _memo={}):
@@ -169,28 +172,35 @@ def test_records_are_first_occurrences_and_extremes():
 
 
 def test_blocks_round_trip_examples():
-    assert rgs_from_blocks([[1, 2], [3], [4]]) == (1, 1, 2, 3)
-    assert rgs_from_blocks([[1]]) == (1,)
     assert blocks_from_rgs((1, 1, 2, 3)) == ((1, 2), (3,), (4,))
+    assert blocks_from_rgs((1, 2, 1, 1, 3, 2)) == ((1, 3, 4), (2, 6), (5,))
+    assert read_back(((1, 3, 4), (2, 6), (5,))) == (1, 2, 1, 1, 3, 2)
+    assert blocks_from_rgs((1,)) == ((1,),)
     assert blocks_from_rgs(()) == ()
-    assert rgs_from_blocks(()) == ()
+
+
+def read_back(blocks):
+    """The word of a partition given as blocks: letter e is the index of
+    the block holding e.  The blocks must cover 1..n exactly once."""
+    elements = sorted(e for block in blocks for e in block)
+    assert elements == list(range(1, len(elements) + 1))
+    word = [0] * len(elements)
+    for index, block in enumerate(blocks, 1):
+        for e in block:
+            word[e - 1] = index
+    return tuple(word)
 
 
 def test_blocks_round_trip_exhaustive():
     for n in range(7):
         for w in enumerate_rgs(n):
-            assert rgs_from_blocks(blocks_from_rgs(w)) == w
+            blocks = blocks_from_rgs(w)
+            assert len(blocks) == max(w, default=0)
+            assert all(list(b) == sorted(b) for b in blocks)
+            assert read_back(blocks) == w
 
 
 def test_malformed_blocks_rejected():
-    with pytest.raises(ValueError):
-        rgs_from_blocks([[1, 2], [2, 3]])  # overlap
-    with pytest.raises(ValueError):
-        rgs_from_blocks([[1], [3]])  # gap
-    with pytest.raises(ValueError):
-        rgs_from_blocks([[1], []])  # empty block
-    with pytest.raises(ValueError):
-        rgs_from_blocks([[2], [1]])  # minima out of order
     with pytest.raises(ValueError):
         blocks_from_rgs((2, 1))
 
@@ -273,4 +283,4 @@ def test_random_words_are_valid_and_consistent(word):
     assert swrec(word) == sum(p * v for p, v in recs)
     assert srec(word) == sum(p for p, _ in recs)
     assert rec_count(word) == len(recs) == max(word)
-    assert rgs_from_blocks(blocks_from_rgs(word)) == word
+    assert read_back(blocks_from_rgs(word)) == word

@@ -29,9 +29,9 @@ def test_propn_small():
 
 
 def test_thm2_small(tables):
-    out = verify.run_thm2(sum_max_n=6, formula_max_n=20, denom_max_n=30, tables=tables)
+    out = verify.run_thm2(max_n=20, tables=tables)
     assert out.passed
-    assert out.cases_run == 7 + 21 + 31
+    assert out.cases_run == 13 + 21 + 501
 
 
 def test_thm3_small(tables):
@@ -40,17 +40,18 @@ def test_thm3_small(tables):
 
 
 def test_bellshift_small(tables):
-    out = verify.run_bellshift(ns=(10, 50), tables=tables)
+    out = verify.run_bellshift(tables=tables)
     assert out.passed
-    assert out.cases_run == 2 * 3 + 3
+    assert out.cases_run == 5 * 3 + 3
 
 
 def test_asym_diagnostics(tables):
-    out = verify.run_asym(ns=(10, 50), tables=tables)
+    out = verify.run_asym(tables=tables)
     assert out.passed
+    assert out.cases_run == 6
     assert out.diagnostics is not None
     assert out.diagnostics["leading_constant_flag"] is True
-    assert [n for n, _ in out.diagnostics["ratios"]] == [10, 50]
+    assert [n for n, _ in out.diagnostics["ratios"]] == [10, 50, 100, 200, 400, 800]
     ratios = [r for _, r in out.diagnostics["ratios"]]
     assert all(0.2 < r < 1.5 for r in ratios)
 
@@ -108,14 +109,16 @@ def test_suite_registry_complete():
         ("lemma2", {"max_n": 0}),
         ("propn", {"max_k": 0}),
         ("propn", {"points": 0}),
-        ("thm2", {"formula_max_n": -3}),
-        ("thm2", {"sum_max_n": -1}),
-        ("thm2", {"denom_max_n": -1}),
+        ("thm2", {"max_n": -3}),
+        ("recurrence", {"order": -1}),
+        ("lemma2", {"order": -1}),
         ("thm3", {"max_n": -3}),
     ],
 )
 def test_ranges_that_leave_cases_out_are_refused(suite, kwargs):
-    with pytest.raises(ValueError, match=">= "):
+    # The suite itself refuses the range and names the keyword.
+    ((keyword, value),) = kwargs.items()
+    with pytest.raises(ValueError, match=f"^{keyword}={value} must be >= "):
         verify.SUITES[suite](**kwargs)
 
 
@@ -124,6 +127,5 @@ def test_smallest_accepted_ranges_run_cases(tables):
     assert verify.run_recurrence(max_k=1, order=0).cases_run == 1
     assert verify.run_lemma2(max_k=1, order=0, max_n=1).cases_run == 2
     assert verify.run_propn(max_k=1, points=1).cases_run == 1 + 4
-    out = verify.run_thm2(sum_max_n=0, formula_max_n=0, denom_max_n=0, tables=tables)
-    assert out.cases_run == 3
+    assert verify.run_thm2(max_n=0, tables=tables).cases_run == 13 + 1 + 501
     assert verify.run_thm3(max_n=0, tables=tables).cases_run == 1
