@@ -29,7 +29,4 @@ print("\nSetting q to 1 after one q-derivative totals swrec per size:")
 series = total_swrec_series(k, order)
 weighted = prod.q_weighted_sum()
 for n in range(k, order + 1):
-    print(
-        f"  n={n}: closed form {series.coefficient(n)},"
-        f" from G_{k} {weighted.coefficient(n)}"
-    )
+    print(f"  n={n}: closed form {series[n]}, from G_{k} {weighted[n]}")

@@ -10,8 +10,9 @@ Output for a given set of flags is deterministic, except for the
 Every size is checked against its minimum and a fixed cap before any work
 starts: the enumeration cap for ``enumerate`` and ``total --method
 brute``, ``closedform.FORMULA_CAP`` for the other ``total`` methods and
-``verify --suite thm2``, and the ``*_MAX_*`` constants below for
-``asymptotic`` and ``gf``.  No environment variable is read.
+``verify --suite thm2``, ``genfunc.GF_*`` for ``gf`` and the recurrence
+and lemma2 suites, ``verify.PF_*`` for propn, and ``ASYMPTOTIC_MAX_N``
+below for ``asymptotic``.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 from . import verify as verify_mod
 from .asymptotics import asymptotic_report
 from .closedform import FORMULA_CAP, build_tables, egf_w, total_swrec_formula
-from .genfunc import gf_product
+from .genfunc import GF_MAX_K, GF_MAX_N, gf_product
 from .setpartitions import (
     DEFAULT_ENUMERATION_CAP,
     enumerate_rgs,
@@ -34,12 +35,9 @@ from .setpartitions import (
     total_swrec_bruteforce,
 )
 
-# Caps of the sizes that are not bounded elsewhere: every n of
-# ``asymptotic --ns`` (Bell tables to n + 3), and ``gf --k`` and
-# ``gf --max-n`` (gf_product(30, 60) already takes seconds).
+# The cap of every n of ``asymptotic --ns`` (Bell tables to n + 3), the
+# one size not bounded elsewhere.
 ASYMPTOTIC_MAX_N = 1000
-GF_MAX_K = 30
-GF_MAX_N = 60
 
 _STATS = {"swrec": swrec, "srec": srec, "rec": rec_count}
 

@@ -22,10 +22,11 @@ convolution's, and the enumeration histograms of the ``eq1`` suite check
 the product form independently.
 
 Differentiating with respect to q and setting q = 1 turns G_k into the
-ordinary generating function of the per-size swrec totals.  That series
-has the rational closed form implemented by ``total_swrec_series``; its
-x -> 1/y transform has only double poles at y = 1..k and decomposes into
-partial fractions with explicit coefficient families (``partial_fraction_coeffs``).
+ordinary generating function of the per-size swrec totals.  Its
+denominators are products of (1 - i x), so ``total_swrec_series`` gets
+the coefficients in ints, dividing by each factor with a_n += i a_(n-1).
+Its x -> 1/y transform has only double poles at y = 1..k and decomposes
+into partial fractions with explicit coefficient families (``partial_fraction_coeffs``).
 ``pole_expansion_coeffs`` recovers the same coefficients by an exact
 two-term Taylor expansion at each pole, independent of those explicit
 formulas, so either side can catch a transcription error in the other.
@@ -42,6 +43,13 @@ from fractions import Fraction
 from typing import Mapping
 
 from .powerseries import BiSeries, Rational, UniSeries
+
+
+# Caps of k and order for every product a caller can ask for (``gf`` and the
+# recurrence and lemma2 suites); the slowest case, run_recurrence(30, 60),
+# takes 12 s on a 2-CPU host.
+GF_MAX_K = 30
+GF_MAX_N = 60
 
 
 def gf_product(k: int, order: int) -> BiSeries:
@@ -67,8 +75,15 @@ def gf_recurrence(k: int, order: int) -> BiSeries:
     return g
 
 
-def total_swrec_series(k: int, order: int) -> UniSeries:
-    """Ordinary generating function of sum(swrec over P_{n,k}) in x.
+def _divide_by(cs: list[int], i: int) -> list[int]:
+    """Divide the series cs by (1 - i x) in place: a_n += i a_(n-1)."""
+    for n in range(1, len(cs)):
+        cs[n] += i * cs[n - 1]
+    return cs
+
+
+def total_swrec_series(k: int, order: int) -> tuple[int, ...]:
+    """[x^0..x^order] of the ordinary generating function of sum(swrec over P_{n,k}).
 
     Equals d/dq G_k(x,q) at q = 1:
 
@@ -77,21 +92,18 @@ def total_swrec_series(k: int, order: int) -> UniSeries:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    denom = UniSeries.one(order)
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    base = ([0] * k + [1] + [0] * order)[: order + 1]
     for i in range(1, k + 1):
-        denom = denom * UniSeries([1, -i], order=order)
-    recip = denom.reciprocal()
-
+        _divide_by(base, i)  # base = x^k / ((1-x)...(1-kx))
     head = math.comb(k + 1, 2) + 2 * math.comb(k + 1, 3)
-    term1 = recip.scale(head).shift(k)
-
-    inner = UniSeries.zero(order)
+    totals = [head * b for b in base]
     for i in range(1, k + 1):
-        c = Fraction(i * (i + 1 + k) * (k - i), 2)
-        if c:
-            inner = inner + UniSeries.geometric(i, order).scale(c)
-    term2 = (recip * inner).shift(k + 1)
-    return term1 + term2
+        c = i * (i + 1 + k) * (k - i) // 2  # the product is always even
+        term = _divide_by([0] + base[:-1], i)  # x * base / (1 - i x)
+        totals = [t + c * v for t, v in zip(totals, term)]
+    return tuple(totals)
 
 
 def total_swrec_rational(k: int, y: Rational) -> Fraction:

@@ -4,8 +4,9 @@ Two representations are provided:
 
 ``UniSeries``
     A power series in one variable x, truncated at a fixed order N
-    (terms x^0 .. x^N are kept).  Coefficients are exact rationals
-    (``fractions.Fraction``).  Dense storage: a tuple of N+1 coefficients.
+    (terms x^0 .. x^N are kept), for series that really are rational: the
+    EGF W(x) and the Taylor expansions at the poles of the per-k totals.
+    Coefficients are ``fractions.Fraction``, stored as a tuple of N+1.
 
 ``BiSeries``
     A power series in x whose coefficients are integer polynomials in a
@@ -15,7 +16,7 @@ Two representations are provided:
     of ints trimmed of zeros at both ends, so every row has one form.
     Only outside input is checked (``BiSeries(...)``, ``from_terms``,
     the arguments of ``geometric``); products and substitutions build
-    canonical rows and skip the check.
+    canonical rows and skip the check.  ``q_weighted_sum`` returns ints.
 
 Closed-form geometric factors
     ``BiSeries.geometric(c, qbase, qstep, order)`` is the truncated
@@ -76,10 +77,6 @@ class UniSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> "UniSeries":
-        return cls([], order=order)
-
-    @classmethod
     def one(cls, order: int) -> "UniSeries":
         return cls([1], order=order)
 
@@ -90,17 +87,6 @@ class UniSeries:
     @classmethod
     def x(cls, order: int) -> "UniSeries":
         return cls([0, 1], order=order)
-
-    @classmethod
-    def geometric(cls, c: Rational, order: int) -> "UniSeries":
-        """1/(1 - c*x) = sum_n c^n x^n, truncated."""
-        ratio = _as_fraction(c)
-        term = Fraction(1)
-        out = []
-        for _ in range(order + 1):
-            out.append(term)
-            term *= ratio
-        return cls(out)
 
     # -- inspection ---------------------------------------------------
 
@@ -415,14 +401,9 @@ class BiSeries:
             tuple((lo + k * n, cs) if cs else _EMPTY_ROW for n, (lo, cs) in enumerate(self._rows))
         )
 
-    def q_weighted_sum(self) -> UniSeries:
-        """Apply d/dq then set q = 1: the x^n coefficient becomes sum_s s * c_{n,s}.
-
-        This is exact integer arithmetic packaged as a ``UniSeries``.
-        """
-        return UniSeries(
-            [sum((lo + j) * c for j, c in enumerate(cs)) for lo, cs in self._rows]
-        )
+    def q_weighted_sum(self) -> tuple[int, ...]:
+        """Apply d/dq then set q = 1: the x^n coefficient becomes sum_s s * c_{n,s}."""
+        return tuple(sum((lo + j) * c for j, c in enumerate(cs)) for lo, cs in self._rows)
 
     # -- misc ----------------------------------------------------------
 

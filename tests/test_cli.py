@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_records import bell_numbers, cli, setpartitions, verify
+from partition_records import bell_numbers, cli, genfunc, setpartitions, verify
 from partition_records.verify import CaseFailure, VerificationOutcome
 
 
@@ -259,6 +259,14 @@ def test_verify_flags_set_suite_keywords(argv, kwargs, monkeypatch, capsys):
         (["asymptotic", "--ns", "1001"], "--ns=1001 exceeds the asymptotic cap 1000"),
         (["verify", "--suite", "recurrence", "--order", "-1"], "--order=-1 must be >= 0"),
         (["verify", "--suite", "lemma2", "--order", "-1"], "--order=-1 must be >= 0"),
+        (
+            ["verify", "--suite", "propn", "--max-k", "2000", "--points", "1"],
+            "--max-k=2000 exceeds the propn cap 60",
+        ),
+        (
+            ["verify", "--suite", "recurrence", "--max-k", "3", "--order", "20000"],
+            "--order=20000 exceeds the gf cap 60",
+        ),
     ],
 )
 def test_usage_errors_name_the_flag(argv, error, capsys):
@@ -389,6 +397,12 @@ class _WorkStarted(Exception):
         (["total", "--n", "{}"], 500),
         (["total", "--n", "{}", "--method", "egf"], 500),
         (["verify", "--suite", "thm2", "--max-n", "{}"], 500),
+        (["verify", "--suite", "recurrence", "--max-k", "{}", "--order", "2"], 30),
+        (["verify", "--suite", "recurrence", "--max-k", "2", "--order", "{}"], 60),
+        (["verify", "--suite", "lemma2", "--max-k", "{}", "--order", "2"], 30),
+        (["verify", "--suite", "lemma2", "--max-k", "2", "--order", "{}"], 60),
+        (["verify", "--suite", "propn", "--max-k", "{}", "--points", "2"], 60),
+        (["verify", "--suite", "propn", "--max-k", "2", "--points", "{}"], 100),
     ],
 )
 def test_sizes_past_a_cap_are_usage_errors(template, cap, monkeypatch, capsys):
@@ -397,7 +411,13 @@ def test_sizes_past_a_cap_are_usage_errors(template, cap, monkeypatch, capsys):
     def stand_in(*args, **kwargs):
         raise _WorkStarted
 
-    for module, name in ((cli, "build_tables"), (cli, "gf_product"), (verify, "build_tables")):
+    for module, name in (
+        (cli, "build_tables"),
+        (cli, "gf_product"),
+        (verify, "build_tables"),
+        (genfunc, "gf_product"),
+        (genfunc, "partial_fraction_coeffs"),
+    ):
         monkeypatch.setattr(module, name, stand_in)
     with pytest.raises(_WorkStarted):
         cli.main([arg.format(cap) for arg in template])

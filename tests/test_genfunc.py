@@ -75,8 +75,7 @@ def test_q_power_bounds():
 
 
 def test_q_weighted_sum_of_product():
-    totals = gf_product(2, 3).q_weighted_sum()
-    assert totals.coeffs == (0, 0, 5, 17)
+    assert gf_product(2, 3).q_weighted_sum() == (0, 0, 5, 17)
 
 
 # ---------------------------------------------------------------------------
@@ -85,29 +84,35 @@ def test_q_weighted_sum_of_product():
 
 
 def test_total_series_k1():
-    assert total_swrec_series(1, 5).coeffs == (0, 1, 1, 1, 1, 1)
+    assert total_swrec_series(1, 5) == (0, 1, 1, 1, 1, 1)
 
 
 def test_total_series_k2_x3():
-    assert total_swrec_series(2, 3).coefficient(3) == 17
+    assert total_swrec_series(2, 3)[3] == 17
 
 
 def test_total_series_diagonal():
     # [x^n] for k = n counts the single word 12..n
     for n in range(1, 9):
-        assert total_swrec_series(n, n).coefficient(n) == sum_of_squares(n)
+        assert total_swrec_series(n, n)[n] == sum_of_squares(n)
 
 
 def test_total_series_equals_weighted_product():
-    for k in range(1, 6):
-        assert gf_product(k, 9).q_weighted_sum() == total_swrec_series(k, 9)
+    # k > order (x^k lies past the truncation) and order 0 ride along
+    for k, order in [(1, 9), (2, 9), (3, 9), (4, 9), (5, 9), (5, 3), (2, 0)]:
+        weighted, closed = gf_product(k, order).q_weighted_sum(), total_swrec_series(k, order)
+        assert weighted == closed, (k, order)
+        assert len(closed) == order + 1
+        assert all(type(c) is int for c in weighted + closed)
+        if k > order:
+            assert closed == (0,) * (order + 1)
 
 
 def test_total_series_matches_enumeration():
     for n in range(1, 8):
         for k in range(1, n + 1):
             expected = sum(swrec(w) for w in enumerate_rgs(n, k))
-            assert total_swrec_series(k, n).coefficient(n) == expected
+            assert total_swrec_series(k, n)[n] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_mul_identity():
 
 def test_mul_geometric_squared():
     # hand convolution of (1 + x + x^2 + x^3)^2
-    g = UniSeries.geometric(1, 3)
+    g = UniSeries([1, 1, 1, 1])
     assert (g * g).coeffs == (1, 2, 3, 4)
 
 
@@ -82,7 +82,7 @@ def test_reading_past_order_rejected():
 
 
 def test_exp_of_zero():
-    assert UniSeries.zero(4).exp() == UniSeries.one(4)
+    assert UniSeries([], order=4).exp() == UniSeries.one(4)
 
 
 def test_exp_of_x():
@@ -149,7 +149,7 @@ def test_mul_distributes_over_add(a, b, c):
 
 
 def test_all_coefficients_stay_exact():
-    a = UniSeries.geometric(F(2, 3), 5)
+    a = UniSeries([F(2, 3) ** n for n in range(6)])
     out = (a * a + a.scale(F(1, 7))).reciprocal()
     assert all(isinstance(c, Fraction) for c in out.coeffs)
 
@@ -190,8 +190,8 @@ def test_bi_substitute():
 
 
 def test_bi_q_weighted_sum():
-    assert BiSeries.from_terms([(1, 1, 1)], 2).q_weighted_sum() == UniSeries([0, 1, 0])
-    assert BiSeries.from_terms([(2, 5, 1)], 2).q_weighted_sum() == UniSeries([0, 0, 5])
+    assert BiSeries.from_terms([(1, 1, 1)], 2).q_weighted_sum() == (0, 1, 0)
+    assert BiSeries.from_terms([(2, 5, 1)], 2).q_weighted_sum() == (0, 0, 5)
 
 
 def test_bi_rejects_nonint_coefficients():
