@@ -8,11 +8,12 @@ Output for a given set of flags is deterministic, except for the
 ``error:`` line on stderr that names the flag at fault.
 
 Every size is checked against its minimum and a fixed cap before any work
-starts: the enumeration cap for ``enumerate`` and ``total --method
-brute``, ``closedform.FORMULA_CAP`` for the other ``total`` methods and
-``verify --suite thm2``, ``genfunc.GF_*`` for ``gf`` and the recurrence
-and lemma2 suites, ``verify.PF_*`` for propn, and ``ASYMPTOTIC_MAX_N``
-below for ``asymptotic``.  No environment variable is read.
+starts, by ``verify.check_range``: the enumeration cap for ``enumerate``
+and ``total --method brute``, ``closedform.FORMULA_CAP`` for the other
+``total`` methods, ``genfunc.GF_*`` for ``gf``, and ``ASYMPTOTIC_MAX_N``
+below for the length and every n of ``asymptotic --ns``.  The verify
+suites' sizes, and which flags each suite takes, live in
+``verify.SUITE_RANGES``.  No environment variable is read.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 from typing import Sequence
 
 from . import verify as verify_mod
+from .verify import check_range
 from .asymptotics import asymptotic_report
 from .closedform import FORMULA_CAP, build_tables, egf_w, total_swrec_formula
 from .genfunc import GF_MAX_K, GF_MAX_N, gf_product
@@ -35,8 +37,8 @@ from .setpartitions import (
     total_swrec_bruteforce,
 )
 
-# The cap of every n of ``asymptotic --ns`` (Bell tables to n + 3), the
-# one size not bounded elsewhere.
+# The cap of every n of ``asymptotic --ns`` (Bell tables to n + 3) and of
+# how many n it lists (one report each), the one size not bounded elsewhere.
 ASYMPTOTIC_MAX_N = 1000
 
 _STATS = {"swrec": swrec, "srec": srec, "rec": rec_count}
@@ -50,16 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def _check_flag(
-    flag: str, value: int, minimum: int, cap: int | None = None, what: str = ""
-) -> None:
-    """Refuse a flag's value below its minimum or past the ``what`` cap."""
-    if value < minimum:
-        raise ValueError(f"{flag}={value} must be >= {minimum}")
-    if cap is not None and value > cap:
-        raise ValueError(f"{flag}={value} exceeds the {what} cap {cap}")
-
-
 def _format_word(word: tuple[int, ...], n: int) -> str:
     if not word:
         return "ε"
@@ -71,9 +63,9 @@ def _format_word(word: tuple[int, ...], n: int) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_flag("--n", args.n, 0, DEFAULT_ENUMERATION_CAP, "enumeration")
+    check_range("--n", args.n, 0, DEFAULT_ENUMERATION_CAP, "enumeration")
     if args.k is not None:
-        _check_flag("--k", args.k, 1)
+        check_range("--k", args.k, 1)
     stat = _STATS[args.stat] if args.stat else None
     for word in enumerate_rgs(args.n, args.k):
         line = _format_word(word, args.n)
@@ -85,10 +77,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_total(args: argparse.Namespace) -> int:
     if args.method == "brute":
-        _check_flag("--n", args.n, 0, DEFAULT_ENUMERATION_CAP, "enumeration")
+        check_range("--n", args.n, 0, DEFAULT_ENUMERATION_CAP, "enumeration")
         print(total_swrec_bruteforce(args.n))
         return 0
-    _check_flag("--n", args.n, 0, FORMULA_CAP, "formula")
+    check_range("--n", args.n, 0, FORMULA_CAP, "formula")
     tables = build_tables(args.n + 3, stirling_max_n=0)
     if args.method == "formula":
         print(total_swrec_formula(args.n, tables))
@@ -102,8 +94,8 @@ def _cmd_total(args: argparse.Namespace) -> int:
 
 
 def _cmd_gf(args: argparse.Namespace) -> int:
-    _check_flag("--k", args.k, 1, GF_MAX_K, "gf")
-    _check_flag("--max-n", args.max_n, 0, GF_MAX_N, "gf")
+    check_range("--k", args.k, 1, GF_MAX_K, "gf")
+    check_range("--max-n", args.max_n, 0, GF_MAX_N, "gf")
     series = gf_product(args.k, args.max_n)
     rows = [[n, s, c] for n, s, c in series.terms()]
     if args.format == "csv":
@@ -113,21 +105,6 @@ def _cmd_gf(args: argparse.Namespace) -> int:
     else:
         print(json.dumps(rows))
     return 0
-
-
-# The verify flags each suite accepts; each sets the suite keyword of the
-# same name (--max-n sets max_n).  Any other flag is a usage error.
-_VERIFY_FLAGS: dict[str, tuple[str, ...]] = {
-    "eq1": ("max_n",),
-    "recurrence": ("max_k", "order"),
-    "lemma2": ("max_k", "order", "max_n"),
-    "propn": ("max_k", "points"),
-    "thm2": ("max_n",),
-    "thm3": ("max_n",),
-    "bellshift": (),
-    "asym": (),
-    "all": (),
-}
 
 
 def _flag(keyword: str) -> str:
@@ -140,18 +117,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         value = getattr(args, keyword)
         if value is None:
             continue
-        if keyword not in _VERIFY_FLAGS[args.suite]:
+        if keyword not in verify_mod.SUITE_RANGES[args.suite]:
             raise ValueError(f"{_flag(keyword)} does not apply to suite {args.suite}")
         kwargs[keyword] = value
-    try:
-        outcome = verify_mod.SUITES[args.suite](**kwargs)
-    except ValueError as exc:
-        # The suites check their own ranges and name the keyword
-        # ("max_n=501 exceeds ..."); name the flag that set it instead.
-        keyword, sep, rest = str(exc).partition("=")
-        if not (sep and keyword in kwargs):
-            raise
-        raise ValueError(f"{_flag(keyword)}={rest}") from None
+    verify_mod.check_suite_ranges(args.suite, kwargs, _flag)
+    outcome = verify_mod.SUITES[args.suite](**kwargs)
     print(json.dumps(outcome.to_json_dict(), indent=2))
     return 0 if outcome.passed else 1
 
@@ -169,7 +139,8 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--ns must be a comma-separated list of positive integers, got {args.ns!r}"
         ) from None
-    _check_flag("--ns", max(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
+    check_range("--ns", max(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
+    check_range("--ns count", len(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
     tables = build_tables(max(ns) + 3, stirling_max_n=0)
     reports = asymptotic_report(ns, tables)
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))

@@ -28,7 +28,9 @@ from typing import Callable
 
 from . import closedform, genfunc, setpartitions
 from .asymptotics import asymptotic_report, bell_shift_error
-from .closedform import BellStirlingTables, build_tables
+from .closedform import FORMULA_CAP, BellStirlingTables, build_tables
+from .genfunc import GF_MAX_K, GF_MAX_N
+from .setpartitions import DEFAULT_ENUMERATION_CAP
 
 DEFAULT_ENUM_MAX_N = 9
 DEFAULT_SERIES_ORDER = 12
@@ -43,6 +45,26 @@ DEFAULT_DENOM_MAX_N = 500
 DEFAULT_BRUTE_MAX_N = 12
 DEFAULT_BELLSHIFT_NS = (10, 50, 100, 500, 1000)
 DEFAULT_ASYM_NS = (10, 50, 100, 200, 400, 800)
+
+# Each suite's size keywords, in the order their faults are reported:
+# keyword -> (minimum, cap, cap name).  A smaller value would leave the
+# suite's cases out, a larger one start unbounded work.  The CLI takes
+# one flag per keyword (--max-n sets max_n) and no other.
+SUITE_RANGES: dict[str, dict[str, tuple[int, int, str]]] = {
+    "eq1": {"max_n": (1, DEFAULT_ENUMERATION_CAP, "enumeration")},
+    "recurrence": {"max_k": (1, GF_MAX_K, "gf"), "order": (0, GF_MAX_N, "gf")},
+    "lemma2": {
+        "max_k": (1, GF_MAX_K, "gf"),
+        "order": (0, GF_MAX_N, "gf"),
+        "max_n": (1, DEFAULT_ENUMERATION_CAP, "enumeration"),
+    },
+    "propn": {"max_k": (1, PF_MAX_K, "propn"), "points": (1, PF_MAX_POINTS, "propn")},
+    "thm2": {"max_n": (0, FORMULA_CAP, "formula")},
+    "thm3": {"max_n": (0, DEFAULT_ENUMERATION_CAP, "enumeration")},
+    "bellshift": {},
+    "asym": {},
+    "all": {},
+}
 
 LEADING_CONSTANT_NOTE = (
     "The dominant term of the exact Bell-number form carries a 3/4 multiplier "
@@ -108,18 +130,30 @@ class _Recorder:
         return VerificationOutcome(suite, self.cases_run, self.failures, elapsed_ms, diagnostics)
 
 
-def _check_at_most(cap: int, what: str, **values: int) -> None:
-    """Refuse ranges past a cap before any work starts."""
-    for name, value in values.items():
-        if value > cap:
-            raise ValueError(f"{name}={value} exceeds the {what} cap {cap}")
+def check_range(
+    name: str, value: int, minimum: int, cap: int | None = None, what: str = ""
+) -> None:
+    """Refuse a value below its minimum or past the ``what`` cap, before
+    any work starts; the error names ``name``."""
+    if value < minimum:
+        raise ValueError(f"{name}={value} must be >= {minimum}")
+    if cap is not None and value > cap:
+        raise ValueError(f"{name}={value} exceeds the {what} cap {cap}")
 
 
-def _check_at_least(minimum: int, **values: int) -> None:
-    """Refuse ranges that would leave a suite's cases out, before any work."""
-    for name, value in values.items():
-        if value < minimum:
-            raise ValueError(f"{name}={value} must be >= {minimum}")
+def check_suite_ranges(
+    suite: str, values: dict[str, int], label: Callable[[str], str] = str
+) -> None:
+    """Check ``values`` (keyword -> value, any subset of the suite's
+    keywords) against ``SUITE_RANGES[suite]``: every minimum first, then
+    every cap, each in the row's order.  ``label`` turns a keyword into
+    the name an error gives."""
+    row = SUITE_RANGES[suite]
+    given = [keyword for keyword in row if keyword in values]
+    for keyword in given:
+        check_range(label(keyword), values[keyword], row[keyword][0])
+    for keyword in given:
+        check_range(label(keyword), values[keyword], *row[keyword])
 
 
 def _render(value) -> str:
@@ -137,8 +171,7 @@ def _render(value) -> str:
 def run_eq1(max_n: int = DEFAULT_ENUM_MAX_N) -> VerificationOutcome:
     """Product-form q-coefficients of [x^n] vs. enumeration histograms,
     one case per (n, k) cell with 1 <= k <= n <= max_n."""
-    _check_at_least(1, max_n=max_n)
-    _check_at_most(setpartitions.DEFAULT_ENUMERATION_CAP, "enumeration", max_n=max_n)
+    check_suite_ranges("eq1", {"max_n": max_n})
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_n + 1):
@@ -154,10 +187,7 @@ def run_recurrence(
     max_k: int = DEFAULT_MAX_K, order: int = DEFAULT_SERIES_ORDER
 ) -> VerificationOutcome:
     """Product vs. recurrence construction, coefficient-wise, one case per k."""
-    _check_at_least(1, max_k=max_k)
-    _check_at_least(0, order=order)
-    _check_at_most(genfunc.GF_MAX_K, "gf", max_k=max_k)
-    _check_at_most(genfunc.GF_MAX_N, "gf", order=order)
+    check_suite_ranges("recurrence", {"max_k": max_k, "order": order})
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -183,11 +213,7 @@ def run_lemma2(
     """q-weighted sum of the product form vs. the rational closed form
     (per k, through x^order), then closed-form coefficients vs. enumeration
     totals (per (n, k) cell, n <= max_n)."""
-    _check_at_least(1, max_k=max_k, max_n=max_n)
-    _check_at_least(0, order=order)
-    _check_at_most(genfunc.GF_MAX_K, "gf", max_k=max_k)
-    _check_at_most(genfunc.GF_MAX_N, "gf", order=order)
-    _check_at_most(setpartitions.DEFAULT_ENUMERATION_CAP, "enumeration", max_n=max_n)
+    check_suite_ranges("lemma2", {"max_k": max_k, "order": order, "max_n": max_n})
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -211,9 +237,7 @@ def run_propn(
     grid of non-pole sample points (half-integer spacing, so non-integer
     rationals are exercised), plus spot checks of the explicit coefficient
     formulas against the pole-expansion oracle."""
-    _check_at_least(1, max_k=max_k, points=points)
-    _check_at_most(PF_MAX_K, "propn", max_k=max_k)
-    _check_at_most(PF_MAX_POINTS, "propn", points=points)
+    check_suite_ranges("propn", {"max_k": max_k, "points": points})
     started = time.perf_counter()
     rec = _Recorder()
     for k in range(1, max_k + 1):
@@ -246,8 +270,7 @@ def run_thm2(
     One W(x) serves (a) and (b): the x^n coefficient of a truncated
     product depends only on the factors' terms up to x^n, so W at a
     lower order is a prefix of W at a higher one."""
-    _check_at_least(0, max_n=max_n)
-    _check_at_most(closedform.FORMULA_CAP, "formula", max_n=max_n)
+    check_suite_ranges("thm2", {"max_n": max_n})
     started = time.perf_counter()
     rec = _Recorder()
     order = max(DEFAULT_SUM_MAX_N, max_n)
@@ -279,8 +302,7 @@ def run_thm3(
     max_n: int = DEFAULT_BRUTE_MAX_N, tables: BellStirlingTables | None = None
 ) -> VerificationOutcome:
     """Bell-number formula vs. brute-force enumeration, n = 0..max_n."""
-    _check_at_least(0, max_n=max_n)
-    _check_at_most(setpartitions.DEFAULT_ENUMERATION_CAP, "enumeration", max_n=max_n)
+    check_suite_ranges("thm3", {"max_n": max_n})
     started = time.perf_counter()
     rec = _Recorder()
     if tables is None:

@@ -267,9 +267,21 @@ def test_verify_flags_set_suite_keywords(argv, kwargs, monkeypatch, capsys):
             ["verify", "--suite", "recurrence", "--max-k", "3", "--order", "20000"],
             "--order=20000 exceeds the gf cap 60",
         ),
+        # every minimum is checked before any cap
+        (["verify", "--suite", "recurrence", "--max-k", "31", "--order", "-1"], "--order=-1 must be >= 0"),
+        (["asymptotic", "--ns", ",".join(["1"] * 1001)], "--ns count=1001 exceeds the asymptotic cap 1000"),
+        (["asymptotic", "--ns", ",".join(["1000"] * 1000)], None),
     ],
 )
-def test_usage_errors_name_the_flag(argv, error, capsys):
+def test_usage_errors_name_the_flag(argv, error, monkeypatch, capsys):
+    def stand_in(*args, **kwargs):
+        raise _WorkStarted
+
+    monkeypatch.setattr(cli, "build_tables", stand_in)
+    if error is None:  # a size at its cap reaches the work
+        with pytest.raises(_WorkStarted):
+            cli.main(argv)
+        return
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -446,7 +458,7 @@ def _argv(draw):
     command = draw(st.sampled_from(["enumerate", "total", "gf", "verify", "asymptotic"]))
     if command == "verify":
         suite = draw(st.sampled_from(sorted(verify.SUITES)))
-        accepted = cli._VERIFY_FLAGS[suite]
+        accepted = verify.SUITE_RANGES[suite]
         flags = [f for f in _VERIFY_CAPS if f in accepted or _given(draw, 2)]
         if not flags:  # bellshift, asym and all take no caps and would run in full
             flags = [draw(st.sampled_from(_VERIFY_CAPS))]

@@ -52,8 +52,8 @@ def test_bottom_layers_import_no_package_module(module):
 @pytest.mark.parametrize(
     "module, forbidden",
     [
-        ("genfunc", {"closedform", "setpartitions"}),
-        ("closedform", {"genfunc", "setpartitions"}),
+        ("genfunc", {"closedform", "setpartitions", "verify", "cli"}),
+        ("closedform", {"genfunc", "setpartitions", "verify", "cli"}),
     ],
 )
 def test_oracle_layers_stay_apart(module, forbidden):

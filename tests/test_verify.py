@@ -1,5 +1,8 @@
 """The verification-suite engine: pass/fail bookkeeping and JSON shape."""
 
+import inspect
+import re
+
 import pytest
 
 from partition_records import verify
@@ -96,29 +99,48 @@ def test_suite_registry_complete():
         "asym",
         "all",
     }
+    # Each suite's size row names exactly the keywords the suite takes.
+    assert set(verify.SUITE_RANGES) == set(verify.SUITES)
+    for suite, run in verify.SUITES.items():
+        parameters = set(inspect.signature(run).parameters) - {"tables"}
+        assert set(verify.SUITE_RANGES[suite]) == parameters, suite
+
+
+_REFUSED = [
+    ("eq1", {"max_n": 0}, "max_n=0 must be >= 1"),
+    ("eq1", {"max_n": -3}, "max_n=-3 must be >= 1"),
+    ("recurrence", {"max_k": 0}, "max_k=0 must be >= 1"),
+    ("recurrence", {"max_k": -1}, "max_k=-1 must be >= 1"),
+    ("lemma2", {"max_k": 0}, "max_k=0 must be >= 1"),
+    ("lemma2", {"max_n": 0}, "max_n=0 must be >= 1"),
+    ("propn", {"max_k": 0}, "max_k=0 must be >= 1"),
+    ("propn", {"points": 0}, "points=0 must be >= 1"),
+    ("thm2", {"max_n": -3}, "max_n=-3 must be >= 0"),
+    ("recurrence", {"order": -1}, "order=-1 must be >= 0"),
+    ("lemma2", {"order": -1}, "order=-1 must be >= 0"),
+    ("thm3", {"max_n": -3}, "max_n=-3 must be >= 0"),
+    # past a cap: refused before any work, too
+    ("eq1", {"max_n": 13}, "max_n=13 exceeds the enumeration cap 12"),
+    ("thm3", {"max_n": 13}, "max_n=13 exceeds the enumeration cap 12"),
+    ("lemma2", {"max_n": 13}, "max_n=13 exceeds the enumeration cap 12"),
+    ("recurrence", {"max_k": 31}, "max_k=31 exceeds the gf cap 30"),
+    ("lemma2", {"max_k": 31}, "max_k=31 exceeds the gf cap 30"),
+    ("recurrence", {"order": 61}, "order=61 exceeds the gf cap 60"),
+    ("lemma2", {"order": 61}, "order=61 exceeds the gf cap 60"),
+    ("propn", {"max_k": 61}, "max_k=61 exceeds the propn cap 60"),
+    ("propn", {"points": 101}, "points=101 exceeds the propn cap 100"),
+    ("thm2", {"max_n": 501}, "max_n=501 exceeds the formula cap 500"),
+]
 
 
 @pytest.mark.parametrize(
-    "suite, kwargs",
-    [
-        ("eq1", {"max_n": 0}),
-        ("eq1", {"max_n": -3}),
-        ("recurrence", {"max_k": 0}),
-        ("recurrence", {"max_k": -1}),
-        ("lemma2", {"max_k": 0}),
-        ("lemma2", {"max_n": 0}),
-        ("propn", {"max_k": 0}),
-        ("propn", {"points": 0}),
-        ("thm2", {"max_n": -3}),
-        ("recurrence", {"order": -1}),
-        ("lemma2", {"order": -1}),
-        ("thm3", {"max_n": -3}),
-    ],
+    "suite, kwargs, error",
+    _REFUSED,
+    ids=[f"{suite}-kwargs{i}" for i, (suite, _, _) in enumerate(_REFUSED)],
 )
-def test_ranges_that_leave_cases_out_are_refused(suite, kwargs):
+def test_ranges_that_leave_cases_out_are_refused(suite, kwargs, error):
     # The suite itself refuses the range and names the keyword.
-    ((keyword, value),) = kwargs.items()
-    with pytest.raises(ValueError, match=f"^{keyword}={value} must be >= "):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
         verify.SUITES[suite](**kwargs)
 
 
