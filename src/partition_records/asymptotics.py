@@ -31,8 +31,8 @@ import mpmath as mp
 
 from .closedform import BellStirlingTables, total_swrec_formula
 
-# solve_r stops at relative residual |r e^r - t| / t <= _TOL, and falls back
-# to bisection after _NEWTON_STEPS Newton steps.
+# solve_r stops at relative residual |r e^r - t| / t <= _TOL, and gives up
+# after _NEWTON_STEPS Newton steps.
 _TOL = 1e-12
 _NEWTON_STEPS = 100
 
@@ -42,11 +42,11 @@ def solve_r(t: float) -> float:
 
     Newton iteration from max(ln t - ln ln t, small constant); the
     function is smooth, increasing and convex on r > 0, so Newton
-    converges monotonically after at most one overshoot.  A bisection
-    sweep is kept as a fallback.
+    converges monotonically after at most one overshoot.  Refuses a t
+    that is not a positive finite number.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if t > math.e:
         r = math.log(t) - math.log(math.log(t))
     else:
@@ -57,23 +57,8 @@ def solve_r(t: float) -> float:
         f = r * er - t
         if abs(f) <= _TOL * t:
             return r
-        step = f / ((1.0 + r) * er)
-        if r - step <= 0.0:
-            break  # would leave the domain; switch to bisection
-        r -= step
-    lo, hi = 0.0, max(r, 1.0)
-    while hi * math.exp(hi) < t:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = mid * math.exp(mid) - t
-        if abs(f) <= _TOL * t:
-            return mid
-        if f < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        r -= f / ((1.0 + r) * er)
+    raise ArithmeticError(f"solve_r({t!r}) did not converge in {_NEWTON_STEPS} steps")
 
 
 def total_swrec_estimate(n: int, tables: BellStirlingTables) -> mp.mpf:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -94,23 +94,21 @@ class VerificationOutcome:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "cases_run": self.cases_run,
-            "failures": [
-                {"id": f.id, "expected": f.expected, "actual": f.actual} for f in self.failures
-            ],
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.diagnostics is not None:
-            out["diagnostics"] = self.diagnostics
+        out = asdict(self)
+        if self.diagnostics is None:
+            del out["diagnostics"]
         return out
 
 
 class _Recorder:
-    """Collects case results; failures keep exact decimal renderings."""
+    """One suite run: refuses its sizes, starts its clock, collects its
+    case results (failures keep exact decimal renderings) and builds its
+    outcome."""
 
-    def __init__(self) -> None:
+    def __init__(self, suite: str, **sizes: int) -> None:
+        check_suite_ranges(suite, sizes)
+        self.suite = suite
+        self.started = time.perf_counter()
         self.cases_run = 0
         self.failures: list[CaseFailure] = []
 
@@ -124,10 +122,10 @@ class _Recorder:
         if not condition:
             self.failures.append(CaseFailure(case_id, expected, actual))
 
-    def finish(self, suite: str, started: float, diagnostics: dict | None = None) -> VerificationOutcome:
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
+    def finish(self, diagnostics: dict | None = None) -> VerificationOutcome:
+        elapsed_ms = (time.perf_counter() - self.started) * 1000.0
         self.failures.sort(key=lambda f: f.id)
-        return VerificationOutcome(suite, self.cases_run, self.failures, elapsed_ms, diagnostics)
+        return VerificationOutcome(self.suite, self.cases_run, self.failures, elapsed_ms, diagnostics)
 
 
 def check_range(
@@ -171,25 +169,21 @@ def _render(value) -> str:
 def run_eq1(max_n: int = DEFAULT_ENUM_MAX_N) -> VerificationOutcome:
     """Product-form q-coefficients of [x^n] vs. enumeration histograms,
     one case per (n, k) cell with 1 <= k <= n <= max_n."""
-    check_suite_ranges("eq1", {"max_n": max_n})
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("eq1", max_n=max_n)
     for k in range(1, max_n + 1):
         series = genfunc.gf_product(k, max_n)
         for n in range(k, max_n + 1):
             expected = dict(setpartitions.swrec_histogram(n, k))
             actual = series.q_coefficients(n)
             rec.check(f"eq1 n={n} k={k}", expected, actual)
-    return rec.finish("eq1", started)
+    return rec.finish()
 
 
 def run_recurrence(
     max_k: int = DEFAULT_MAX_K, order: int = DEFAULT_SERIES_ORDER
 ) -> VerificationOutcome:
     """Product vs. recurrence construction, coefficient-wise, one case per k."""
-    check_suite_ranges("recurrence", {"max_k": max_k, "order": order})
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("recurrence", max_k=max_k, order=order)
     for k in range(1, max_k + 1):
         a = genfunc.gf_product(k, order)
         b = genfunc.gf_recurrence(k, order)
@@ -202,7 +196,7 @@ def run_recurrence(
                 {f"x^{n_bad}": a.q_coefficients(n_bad)},
                 {f"x^{n_bad}": b.q_coefficients(n_bad)},
             )
-    return rec.finish("recurrence", started)
+    return rec.finish()
 
 
 def run_lemma2(
@@ -213,9 +207,7 @@ def run_lemma2(
     """q-weighted sum of the product form vs. the rational closed form
     (per k, through x^order), then closed-form coefficients vs. enumeration
     totals (per (n, k) cell, n <= max_n)."""
-    check_suite_ranges("lemma2", {"max_k": max_k, "order": order, "max_n": max_n})
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("lemma2", max_k=max_k, order=order, max_n=max_n)
     for k in range(1, max_k + 1):
         via_gf = genfunc.gf_product(k, order).q_weighted_sum()
         closed = genfunc.total_swrec_series(k, order)
@@ -227,7 +219,7 @@ def run_lemma2(
                 setpartitions.swrec(w) for w in setpartitions.enumerate_rgs(n, k)
             )
             rec.check(f"coeff n={n} k={k}", expected, closed_at_max_n[k][n])
-    return rec.finish("lemma2", started)
+    return rec.finish()
 
 
 def run_propn(
@@ -237,9 +229,7 @@ def run_propn(
     grid of non-pole sample points (half-integer spacing, so non-integer
     rationals are exercised), plus spot checks of the explicit coefficient
     formulas against the pole-expansion oracle."""
-    check_suite_ranges("propn", {"max_k": max_k, "points": points})
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("propn", max_k=max_k, points=points)
     for k in range(1, max_k + 1):
         decomp = genfunc.partial_fraction_coeffs(k)
         for step in range(points):
@@ -256,7 +246,7 @@ def run_propn(
     rec.check("spot b k=2 m=1", b21, spot.b[1])
     rec.check("spot b k=2 m=2", b22, spot.b[2])
     rec.check("spot a k=2 m=2", a22, spot.a[2])
-    return rec.finish("propn", started)
+    return rec.finish()
 
 
 def run_thm2(
@@ -270,9 +260,7 @@ def run_thm2(
     One W(x) serves (a) and (b): the x^n coefficient of a truncated
     product depends only on the factors' terms up to x^n, so W at a
     lower order is a prefix of W at a higher one."""
-    check_suite_ranges("thm2", {"max_n": max_n})
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("thm2", max_n=max_n)
     order = max(DEFAULT_SUM_MAX_N, max_n)
     if tables is None:
         tables = build_tables(max(order, DEFAULT_DENOM_MAX_N) + 3, stirling_max_n=0)
@@ -295,16 +283,14 @@ def run_thm2(
             rec.check(f"integer n={n}", True, True)
         except ArithmeticError as exc:
             rec.check(f"integer n={n}", "integer", str(exc))
-    return rec.finish("thm2", started)
+    return rec.finish()
 
 
 def run_thm3(
     max_n: int = DEFAULT_BRUTE_MAX_N, tables: BellStirlingTables | None = None
 ) -> VerificationOutcome:
     """Bell-number formula vs. brute-force enumeration, n = 0..max_n."""
-    check_suite_ranges("thm3", {"max_n": max_n})
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("thm3", max_n=max_n)
     if tables is None:
         tables = build_tables(max_n + 3, stirling_max_n=0)
     for n in range(max_n + 1):
@@ -313,14 +299,13 @@ def run_thm3(
             setpartitions.total_swrec_bruteforce(n),
             closedform.total_swrec_formula(n, tables),
         )
-    return rec.finish("thm3", started)
+    return rec.finish()
 
 
 def run_bellshift(tables: BellStirlingTables | None = None) -> VerificationOutcome:
     """Shift-expansion relative errors at each n of DEFAULT_BELLSHIFT_NS:
     bounded by 3*log(n)/n and strictly decreasing in n for each shift h."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("bellshift")
     if tables is None:
         tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3, stirling_max_n=0)
     errors: dict[int, list[tuple[int, float]]] = {1: [], 2: [], 3: []}
@@ -340,15 +325,14 @@ def run_bellshift(tables: BellStirlingTables | None = None) -> VerificationOutco
             "strictly decreasing",
             repr(seq),
         )
-    return rec.finish("bellshift", started)
+    return rec.finish()
 
 
 def run_asym(tables: BellStirlingTables | None = None) -> VerificationOutcome:
     """Exact/estimate ratios at each n of DEFAULT_ASYM_NS stay inside
     (0.2, 1.5); the ratio sequence and the unresolved leading-constant
     question ride along as diagnostics."""
-    started = time.perf_counter()
-    rec = _Recorder()
+    rec = _Recorder("asym")
     if tables is None:
         tables = build_tables(max(DEFAULT_ASYM_NS) + 3, stirling_max_n=0)
     reports = asymptotic_report(DEFAULT_ASYM_NS, tables)
@@ -364,46 +348,34 @@ def run_asym(tables: BellStirlingTables | None = None) -> VerificationOutcome:
         "leading_constant_flag": True,
         "leading_constant_note": LEADING_CONSTANT_NOTE,
     }
-    return rec.finish("asym", started, diagnostics)
+    return rec.finish(diagnostics)
 
 
 def run_all(tables: BellStirlingTables | None = None) -> VerificationOutcome:
-    """Every suite at its default caps, merged into one outcome."""
-    started = time.perf_counter()
+    """Every other suite of ``SUITES`` at its default caps, merged into one
+    outcome: the cases summed, each failure's id prefixed with its suite,
+    and each suite's diagnostics under its name.  One Bell table, built
+    here unless given, serves every suite of ``_TABLE_SUITES``."""
+    rec = _Recorder("all")
     if tables is None:
-        need = max(
-            max(DEFAULT_BELLSHIFT_NS) + 3,
-            max(DEFAULT_ASYM_NS) + 3,
-            DEFAULT_FORMULA_MAX_N + 3,
-            DEFAULT_DENOM_MAX_N + 3,
-        )
-        tables = build_tables(need, stirling_max_n=0)
-    outcomes = [
-        run_eq1(),
-        run_recurrence(),
-        run_lemma2(),
-        run_propn(),
-        run_thm2(tables=tables),
-        run_thm3(tables=tables),
-        run_bellshift(tables=tables),
-        run_asym(tables=tables),
-    ]
-    failures = [
-        CaseFailure(f"{o.suite}: {f.id}", f.expected, f.actual)
-        for o in outcomes
-        for f in o.failures
-    ]
-    failures.sort(key=lambda f: f.id)
-    diagnostics = {o.suite: o.diagnostics for o in outcomes if o.diagnostics is not None}
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return VerificationOutcome(
-        suite="all",
-        cases_run=sum(o.cases_run for o in outcomes),
-        failures=failures,
-        elapsed_ms=elapsed_ms,
-        diagnostics=diagnostics or None,
-    )
+        # bellshift's n = 1000 is the largest default n of any suite.
+        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3, stirling_max_n=0)
+    diagnostics: dict = {}
+    for suite, run in SUITES.items():
+        if suite == "all":
+            continue
+        outcome = run(tables=tables) if suite in _TABLE_SUITES else run()
+        rec.cases_run += outcome.cases_run
+        rec.failures += [
+            CaseFailure(f"{suite}: {f.id}", f.expected, f.actual) for f in outcome.failures
+        ]
+        if outcome.diagnostics is not None:
+            diagnostics[suite] = outcome.diagnostics
+    return rec.finish(diagnostics or None)
 
+
+# The suites that take a Bell table; run_all shares one among them.
+_TABLE_SUITES = ("thm2", "thm3", "bellshift", "asym")
 
 SUITES: dict[str, Callable[..., VerificationOutcome]] = {
     "eq1": run_eq1,

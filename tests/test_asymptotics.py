@@ -41,7 +41,7 @@ def test_solve_r_known_value():
 
 
 def test_solve_r_residual_tolerance():
-    for t in (0.5, 2.0, 11.0, 1001.0, 1e6):
+    for t in (5e-324, 1e-300, 1e-50, 0.5, 2.0, 11.0, 1001.0, 1e6):
         r = solve_r(t)
         assert abs(r * math.exp(r) - t) <= 1e-12 * t
 
@@ -57,6 +57,16 @@ def test_solve_r_rejects_nonpositive():
         solve_r(0.0)
     with pytest.raises(ValueError):
         solve_r(-3.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_r(t)
+
+
+def test_solve_r_overflow_is_an_error_not_nan():
+    # Within 0.2% of the largest double, Newton's first overshoot makes
+    # r e^r overflow; the solver must say so rather than return nan.
+    with pytest.raises(ArithmeticError):
+        solve_r(1.7976931348623157e308)
 
 
 def test_estimate_n10(tables):

@@ -1,11 +1,13 @@
 """The verification-suite engine: pass/fail bookkeeping and JSON shape."""
 
 import inspect
+import json
 import re
 
 import pytest
 
-from partition_records import verify
+from partition_records import cli, closedform, genfunc, setpartitions, verify
+from partition_records.powerseries import BiSeries
 from partition_records.verify import CaseFailure, VerificationOutcome
 
 
@@ -78,13 +80,137 @@ def test_outcome_json_schema():
 
 
 def test_failures_sorted_by_case_id():
-    rec = verify._Recorder()
+    rec = verify._Recorder("bellshift")
     rec.check("b", 1, 2)
     rec.check("a", 1, 2)
-    import time
-
-    out = rec.finish("x", time.perf_counter())
+    out = rec.finish()
     assert [f.id for f in out.failures] == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# Failure paths: one fault injected into one oracle per suite, and the
+# exact failure list it must produce.
+# ---------------------------------------------------------------------------
+
+
+def test_recurrence_reports_first_bad_row(monkeypatch):
+    real = genfunc.gf_recurrence
+
+    def perturbed(k, order):
+        g = real(k, order)
+        return BiSeries.from_terms([*g.terms(), (4, 5, 1)], order) if k == 2 else g
+
+    monkeypatch.setattr(genfunc, "gf_recurrence", perturbed)
+    out = verify.run_recurrence(max_k=3, order=6)
+    assert out.cases_run == 3
+    assert out.failures == [
+        CaseFailure("recurrence k=2", "{x^4: {5: 4, 7: 2, 9: 1}}", "{x^4: {5: 5, 7: 2, 9: 1}}")
+    ]
+
+
+def test_eq1_renders_histograms(monkeypatch):
+    real = setpartitions.swrec_histogram
+
+    def extra_entry(n, k=None):
+        hist = real(n, k)
+        if (n, k) == (5, 2):
+            hist[99] += 1
+        return hist
+
+    monkeypatch.setattr(setpartitions, "swrec_histogram", extra_entry)
+    out = verify.run_eq1(max_n=5)
+    assert out.cases_run == 15
+    assert out.failures == [
+        CaseFailure("eq1 n=5 k=2", "{5: 8, 7: 4, 9: 2, 11: 1, 99: 1}", "{5: 8, 7: 4, 9: 2, 11: 1}")
+    ]
+
+
+def test_thm2_reports_a_non_integral_total(monkeypatch, tables):
+    real = closedform.total_swrec_formula
+
+    def raises_at_7(n, tables):
+        if n == 7:
+            raise ArithmeticError("not integral at n=7")
+        return real(n, tables)
+
+    monkeypatch.setattr(closedform, "total_swrec_formula", raises_at_7)
+    out = verify.run_thm2(max_n=5, tables=tables)
+    assert out.cases_run == 13 + 6 + 501
+    assert out.failures == [CaseFailure("integer n=7", "integer", "not integral at n=7")]
+
+
+def test_bellshift_reports_bound_and_decay(monkeypatch, tables):
+    monkeypatch.setattr(verify, "bell_shift_error", lambda n, h, tables: 1.0)
+    out = verify.run_bellshift(tables=tables)
+    bounds = {
+        10: "0.6907755278982137",
+        50: "0.23472138032568876",
+        100: "0.13815510557964275",
+        500: "0.03728764859053315",
+        1000: "0.02072326583694641",
+    }
+    assert out.cases_run == 18
+    assert out.failures == [
+        CaseFailure(f"bound n={n} h={h}", f"<= {bounds[n]}", "1.0")
+        for n in (10, 100, 1000, 50, 500)
+        for h in (1, 2, 3)
+    ] + [
+        CaseFailure(f"decreasing h={h}", "strictly decreasing", "[1.0, 1.0, 1.0, 1.0, 1.0]")
+        for h in (1, 2, 3)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# all
+# ---------------------------------------------------------------------------
+
+
+def test_all_merges_every_suite(monkeypatch):
+    plan = {
+        "eq1": (1, ["z"], None),
+        "recurrence": (2, [], None),
+        "lemma2": (3, ["b", "a"], {"x": 1}),
+        "propn": (4, [], None),
+        "thm2": (5, ["m"], None),
+        "thm3": (6, [], None),
+        "bellshift": (7, [], None),
+        "asym": (8, ["r"], {"y": 2}),
+    }
+    calls = {}
+
+    def stub(suite, cases, ids, diagnostics):
+        def run(**kwargs):
+            calls[suite] = kwargs
+            failures = [CaseFailure(i, "e", "a") for i in ids]
+            return VerificationOutcome(suite, cases, failures, 1.0, diagnostics)
+
+        return run
+
+    for suite, args in plan.items():
+        run = stub(suite, *args)
+        monkeypatch.setitem(verify.SUITES, suite, run)
+        monkeypatch.setattr(verify, f"run_{suite}", run)
+    table = object()
+    out = verify.run_all(tables=table)
+    assert out.suite == "all"
+    assert out.cases_run == 36
+    assert out.failures == [
+        CaseFailure(i, "e", "a")
+        for i in ["asym: r", "eq1: z", "lemma2: a", "lemma2: b", "thm2: m"]
+    ]
+    assert out.diagnostics == {"lemma2": {"x": 1}, "asym": {"y": 2}}
+    assert calls == {
+        suite: {"tables": table} if suite in verify._TABLE_SUITES else {} for suite in plan
+    }
+
+
+def test_all_runs_every_suite_on_one_table(capsys):
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["suite"] == "all"
+    assert payload["cases_run"] == 1108
+    assert payload["failures"] == []
+    assert set(payload["diagnostics"]) == {"asym"}
 
 
 def test_suite_registry_complete():
@@ -104,6 +230,12 @@ def test_suite_registry_complete():
     for suite, run in verify.SUITES.items():
         parameters = set(inspect.signature(run).parameters) - {"tables"}
         assert set(verify.SUITE_RANGES[suite]) == parameters, suite
+    # run_all shares its table with exactly the suites that take one.
+    assert set(verify._TABLE_SUITES) == {
+        suite
+        for suite, run in verify.SUITES.items()
+        if suite != "all" and "tables" in inspect.signature(run).parameters
+    }
 
 
 _REFUSED = [
