@@ -29,8 +29,9 @@ from .powerseries import UniSeries
 
 
 # Largest n at which the CLI and the verify suites evaluate T(n) by the
-# formula and the EGF: egf_w at order FORMULA_CAP takes about 5.6 s on a
-# 2-CPU host, and its cost grows faster than the square of the order.
+# formula and the EGF: egf_w at order FORMULA_CAP takes about 2.0 s on a
+# 2-CPU host with Python 3.11, and its cost grows faster than the square of
+# the order (order^2 products of integers that grow with the order).
 FORMULA_CAP = 500
 
 

@@ -7,6 +7,13 @@ Two representations are provided:
     (terms x^0 .. x^N are kept), for series that really are rational: the
     EGF W(x) and the Taylor expansions at the poles of the per-k totals.
     Coefficients are ``fractions.Fraction``, stored as a tuple of N+1.
+    A product puts each factor over the lcm of its denominators, so its
+    coefficients become integer numerators over one denominator each;
+    every output coefficient is then an integer dot product and a single
+    ``Fraction`` reduction, not one reduction per term.  ``exp`` and
+    ``reciprocal`` first scan their input once for its nonzero terms, and
+    each step of their recurrences sums over those terms only: O(order)
+    steps of one term each for e^{cx} = exp(c x).
 
 ``BiSeries``
     A power series in x whose coefficients are integer polynomials in a
@@ -40,6 +47,7 @@ threads or worker processes.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -50,6 +58,18 @@ def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed in exact series")
     return Fraction(value)
+
+
+def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers nums and den with coeffs[i] == nums[i] / den, den the lcm of
+    the denominators."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _nonzero_terms(coeffs: tuple[Fraction, ...]) -> list[tuple[int, Fraction]]:
+    """The (index, coefficient) pairs of the nonzero coefficients, by index."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
 class UniSeries:
@@ -135,16 +155,14 @@ class UniSeries:
             return NotImplemented
         self._require_same_order(other)
         n = self.order
-        a, b = self._coeffs, other._coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return UniSeries(out)
+        a, da = _over_common_denominator(self._coeffs)
+        b, db = _over_common_denominator(other._coeffs)
+        b.reverse()
+        den = da * db
+        # [x^m] = sum_i a_i b_(m-i) / (da db): one reduction per coefficient
+        return UniSeries(
+            [Fraction(sum(map(operator.mul, a[: m + 1], b[n - m :])), den) for m in range(n + 1)]
+        )
 
     def shift(self, m: int) -> "UniSeries":
         """Multiply by x^m (coefficients move up; the tail is truncated)."""
@@ -162,13 +180,11 @@ class UniSeries:
         if a[0] == 0:
             raise ValueError("cannot invert a series with zero constant term")
         inv0 = 1 / a[0]
+        terms = _nonzero_terms(a)[1:]
         out = [inv0]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                if a[j]:
-                    acc += a[j] * out[n - j]
-            out.append(-inv0 * acc)
+            # b_n = -b_0 * sum_{j=1..n} a_j b_(n-j)
+            out.append(-inv0 * sum([c * out[n - j] for j, c in terms if j <= n], Fraction(0)))
         return UniSeries(out)
 
     def exp(self) -> "UniSeries":
@@ -180,15 +196,11 @@ class UniSeries:
         a = self._coeffs
         if a[0] != 0:
             raise ValueError("exp requires a zero constant term")
+        terms = [(i, i * c) for i, c in _nonzero_terms(a)]
         out = [Fraction(1)]
-        for n in range(self.order):
-            # (n+1) * b_{n+1} = sum_{i=0..n} (i+1) * a_{i+1} * b_{n-i}
-            acc = Fraction(0)
-            for i in range(n + 1):
-                ai = a[i + 1]
-                if ai:
-                    acc += (i + 1) * ai * out[n - i]
-            out.append(acc / (n + 1))
+        for n in range(1, self.order + 1):
+            # n b_n = sum_{i=1..n} i a_i b_(n-i)
+            out.append(sum([c * out[n - i] for i, c in terms if i <= n], Fraction(0)) / n)
         return UniSeries(out)
 
     # -- misc ----------------------------------------------------------

@@ -154,6 +154,100 @@ def test_all_coefficients_stay_exact():
     assert all(isinstance(c, Fraction) for c in out.coeffs)
 
 
+# Schoolbook references: one Fraction operation per term, no shared
+# denominator and no skipping of zero terms.
+
+
+def schoolbook_mul(a, b):
+    n = len(a) - 1
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+def schoolbook_reciprocal(a):
+    out = [1 / a[0]]
+    for n in range(1, len(a)):
+        acc = F(0)
+        for j in range(1, n + 1):
+            acc += a[j] * out[n - j]
+        out.append(-out[0] * acc)
+    return tuple(out)
+
+
+def schoolbook_exp(a):
+    # (n+1) b_(n+1) = sum_(i=0..n) (i+1) a_(i+1) b_(n-i)
+    out = [F(1)]
+    for n in range(len(a) - 1):
+        acc = F(0)
+        for i in range(n + 1):
+            acc += (i + 1) * a[i + 1] * out[n - i]
+        out.append(acc / (n + 1))
+    return tuple(out)
+
+
+# zeros are drawn often, so sparse and all-zero series come up
+mixed_denominators = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+wide_rationals = st.one_of(st.just(F(0)), mixed_denominators)
+dense_rationals = mixed_denominators.filter(bool)
+
+
+@st.composite
+def exact_pair(draw, elements=wide_rationals):
+    n = draw(st.integers(min_value=0, max_value=10))
+    a = draw(st.lists(elements, min_size=n + 1, max_size=n + 1))
+    b = draw(st.lists(elements, min_size=n + 1, max_size=n + 1))
+    return a, b
+
+
+def assert_exact(series, reference):
+    assert series.coeffs == reference
+    assert all(type(c) is Fraction for c in series.coeffs)
+
+
+@settings(max_examples=50)
+@given(exact_pair())
+def test_mul_matches_schoolbook(pair):
+    a, b = pair
+    assert_exact(UniSeries(a) * UniSeries(b), schoolbook_mul(a, b))
+
+
+@settings(max_examples=50)
+@given(exact_pair())
+def test_reciprocal_matches_schoolbook(pair):
+    a, _ = pair
+    a[0] = a[0] or F(-3, 7)
+    assert_exact(UniSeries(a).reciprocal(), schoolbook_reciprocal(a))
+
+
+@settings(max_examples=50)
+@given(exact_pair())
+def test_exp_matches_schoolbook(pair):
+    a, _ = pair
+    a[0] = F(0)
+    assert_exact(UniSeries(a).exp(), schoolbook_exp(a))
+
+
+@settings(max_examples=50)
+@given(exact_pair(dense_rationals))
+def test_exp_of_dense_series_matches_schoolbook(pair):
+    a, _ = pair
+    a[0] = F(0)
+    assert_exact(UniSeries(a).exp(), schoolbook_exp(a))
+
+
+@pytest.mark.parametrize("order", [0, 1, 5])
+def test_kernels_on_zero_and_order_zero_series(order):
+    zero = [F(0)] * (order + 1)
+    other = [F(-7, 3)] + [F(5, 2 + j) for j in range(order)]
+    assert_exact(UniSeries(zero) * UniSeries(other), schoolbook_mul(zero, other))
+    assert_exact(UniSeries(other) * UniSeries(other), schoolbook_mul(other, other))
+    assert_exact(UniSeries(zero).exp(), schoolbook_exp(zero))
+    assert_exact(UniSeries(other).reciprocal(), schoolbook_reciprocal(other))
+
+
 # ---------------------------------------------------------------------------
 # BiSeries
 # ---------------------------------------------------------------------------
