@@ -15,11 +15,11 @@ constructions are provided:
     iterating G_k(x,q) = x q^k / (1 - k x) * G_{k-1}(x q^k, q) from
     G_1(x,q) = x q / (1 - x).
 
-Both still multiply k factors, but each product by a geometric factor
-runs the O(order) recurrence of ``BiSeries.geometric`` instead of a full
-convolution (see ``powerseries``).  Its rows are the same as the
-convolution's, and the enumeration histograms of the ``eq1`` suite check
-the product form independently.
+Both multiply k factors, and every product has a geometric factor, so
+each runs the O(order) recurrence of ``BiSeries.geometric``, the only
+``BiSeries`` product (see ``powerseries``).  The two constructions check
+each other (the ``recurrence`` suite), and the enumeration histograms of
+the ``eq1`` suite check the product form independently.
 
 Differentiating with respect to q and setting q = 1 turns G_k into the
 ordinary generating function of the per-size swrec totals.  Its
@@ -203,10 +203,10 @@ def pole_expansion_coeffs(k: int, m: int) -> tuple[Fraction, Fraction]:
     if not 1 <= m <= k:
         raise ValueError("m must be in 1..k")
     order = 1  # two-term Taylor expansion suffices for a and b
-    big_c = Fraction(k * (k + 1) * (2 * k + 1), 6)
+    big_c = k * (k + 1) * (2 * k + 1) // 6  # both are always integers
 
-    def d_coeff(i: int) -> Fraction:
-        return Fraction(i * (1 + k + i) * (k - i), 2)
+    def d_coeff(i: int) -> int:
+        return i * (1 + k + i) * (k - i) // 2
 
     prod = UniSeries.one(order)
     inner = UniSeries([d_coeff(m), big_c], order=order)

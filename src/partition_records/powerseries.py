@@ -21,9 +21,10 @@ Two representations are provided:
     never truncated.  Storage is a tuple indexed by x-power of dense rows
     ``(lo, coeffs)``: q^lo * sum_j coeffs[j] q^j, with ``coeffs`` a tuple
     of ints trimmed of zeros at both ends, so every row has one form.
-    Only outside input is checked (``BiSeries(...)``, ``from_terms``,
-    the arguments of ``geometric``); products and substitutions build
-    canonical rows and skip the check.  ``q_weighted_sum`` returns ints.
+    Outside input enters only through ``from_terms`` (and the arguments
+    of ``one`` and ``geometric``), which checks it; products and
+    substitutions build canonical rows and skip the check.
+    ``q_weighted_sum`` returns ints.
 
 Closed-form geometric factors
     ``BiSeries.geometric(c, qbase, qstep, order)`` is the truncated
@@ -32,11 +33,12 @@ Closed-form geometric factors
 
         row[n] = q^qbase * S[n-1] + c q^qstep * row[n-1],    row[0] = 0,
 
-    which costs O(order * row terms) in place of the generic
-    O(order^2 * row terms) convolution.  Both paths run inside ``*``; the
-    rows they produce are identical, products carry no triple, and
-    equality compares rows only.  On dense rows each step of the
-    recurrence is a shift of two rows and one elementwise sum.
+    which costs O(order * row terms).  This is the only ``BiSeries``
+    product: every product the generating functions take has such a
+    factor (G_k is a product of k of them), so ``*`` without one raises
+    ``TypeError``.  Products carry no triple, and equality compares rows
+    only.  On dense rows each step of the recurrence is a shift of two
+    rows and one elementwise sum.
 
 Everything is exact: floating-point coefficients are rejected, and no
 operation ever reads past the truncation order.  All values are
@@ -220,6 +222,12 @@ _Row = tuple[int, tuple[int, ...]]
 _EMPTY_ROW: _Row = (0, ())
 
 
+def _require_plain_ints(**values: object) -> None:
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be a plain int")
+
+
 def _dense_row(terms: Mapping[int, int]) -> _Row:
     """The canonical row of a {q-power: int} map."""
     powers = [s for s, c in terms.items() if c]
@@ -258,34 +266,15 @@ class BiSeries:
     truncation).  Each x^n row is stored densely as ``(lo, coeffs)``,
     meaning q^lo * sum_j coeffs[j] q^j, with ``coeffs`` a tuple of ints
     trimmed of zeros at both ends; the zero row is ``(0, ())``.  Rows are
-    canonical, so equal series have equal rows.  The constructor checks
+    canonical, so equal series have equal rows.  ``from_terms`` checks
     and converts outside input; rows built by the operations below are
-    canonical by construction and are not checked again.
+    canonical by construction and are not checked again.  The only
+    product is by a ``geometric`` factor.
     """
 
+    # _geometric is (c, qbase, qstep) when the rows are
+    # x q^qbase / (1 - c x q^qstep), else None
     __slots__ = ("_rows", "_geometric")
-
-    def __init__(self, coeffs: Iterable[Mapping[int, int]], order: int | None = None):
-        rows: list[_Row] = []
-        for row in coeffs:
-            for s, c in row.items():
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise TypeError("BiSeries coefficients must be plain ints")
-                if not isinstance(s, int) or isinstance(s, bool):
-                    raise TypeError("q-powers must be plain ints")
-                if s < 0:
-                    raise ValueError("q-powers must be >= 0")
-            rows.append(_dense_row(row))
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be >= 0")
-            rows = rows[: order + 1]
-            rows.extend([_EMPTY_ROW] * (order + 1 - len(rows)))
-        elif not rows:
-            raise ValueError("a series needs at least the x^0 row (or pass order=)")
-        self._rows = tuple(rows)
-        # (c, qbase, qstep) when the rows are x q^qbase / (1 - c x q^qstep)
-        self._geometric: tuple[int, int, int] | None = None
 
     @classmethod
     def _from_rows(cls, rows: tuple[_Row, ...]) -> "BiSeries":
@@ -299,26 +288,29 @@ class BiSeries:
 
     @classmethod
     def one(cls, order: int) -> "BiSeries":
-        return cls([{0: 1}], order=order)
+        return cls.from_terms([(0, 0, 1)], order)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, int, int]], order: int) -> "BiSeries":
-        """Build from (x-power, q-power, coefficient) triples; like terms combine."""
+        """Build from (x-power, q-power, coefficient) triples, truncated at
+        ``order``; like terms combine.  Every triple is checked: all three
+        entries plain ints, both powers >= 0."""
+        if order < 0:
+            raise ValueError("order must be >= 0")
         rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
         for n, s, c in terms:
-            if n < 0:
-                raise ValueError("x-powers must be >= 0")
-            if n <= order and c:
+            _require_plain_ints(x_power=n, q_power=s, coefficient=c)
+            if n < 0 or s < 0:
+                raise ValueError("x-powers and q-powers must be >= 0")
+            if n <= order:
                 rows[n][s] = rows[n].get(s, 0) + c
-        return cls(rows, order=order)
+        return cls._from_rows(tuple(_dense_row(row) for row in rows))
 
     @classmethod
     def geometric(cls, c: int, qbase: int, qstep: int, order: int) -> "BiSeries":
         """x q^qbase / (1 - c x q^qstep) = sum_j c^j x^(j+1) q^(qbase + j qstep),
         truncated at ``order``; products with it take the O(order) path."""
-        for name, value in (("c", c), ("qbase", qbase), ("qstep", qstep)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a plain int")
+        _require_plain_ints(c=c, qbase=qbase, qstep=qstep)
         if qbase < 0 or qstep < 0:
             raise ValueError("q-powers must be >= 0")
         if order < 0:
@@ -366,23 +358,7 @@ class BiSeries:
             return self._times_geometric(*other._geometric)
         if self._geometric is not None:
             return other._times_geometric(*self._geometric)
-        a, b = self._rows, other._rows
-        rows: list[_Row] = []
-        for n in range(self.order + 1):
-            pairs = [(a[i], b[n - i]) for i in range(n + 1) if a[i][1] and b[n - i][1]]
-            if not pairs:
-                rows.append(_EMPTY_ROW)
-                continue
-            lo = min(lo1 + lo2 for (lo1, _), (lo2, _) in pairs)
-            end = max(lo1 + len(cs1) + lo2 + len(cs2) - 1 for (lo1, cs1), (lo2, cs2) in pairs)
-            out = [0] * (end - lo)
-            for (lo1, cs1), (lo2, cs2) in pairs:
-                at = lo1 + lo2 - lo
-                for j, c1 in enumerate(cs1):
-                    if c1:
-                        _add_scaled(out, at + j, c1, cs2)
-            rows.append(_trimmed(lo, out))
-        return BiSeries._from_rows(tuple(rows))
+        raise TypeError("a BiSeries product needs a BiSeries.geometric factor")
 
     def _times_geometric(self, c: int, qbase: int, qstep: int) -> "BiSeries":
         """self * x q^qbase / (1 - c x q^qstep), truncated at self's order,
