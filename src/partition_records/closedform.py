@@ -21,6 +21,7 @@ the tests compare them against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,11 +43,10 @@ def bell_numbers(max_n: int) -> list[int]:
     bell = [1]
     row = [1]
     for _ in range(max_n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        bell.append(nxt[0])
-        row = nxt
+        # each row starts with the last entry of the one above, then adds
+        # that row's entries one by one
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        bell.append(row[0])
     return bell
 
 

@@ -57,8 +57,8 @@ Rational = Union[int, Fraction]
 
 
 def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating-point coefficients are not allowed in exact series")
+    if isinstance(value, (float, bool)):
+        raise TypeError("float and bool coefficients are not allowed in exact series")
     return Fraction(value)
 
 

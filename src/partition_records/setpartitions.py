@@ -25,15 +25,23 @@ module is the independent oracle the generating-function and
 closed-form layers are verified against.
 
 ``enumerate_rgs``, ``swrec_histogram`` and ``total_swrec_bruteforce``
-share one private lexicographic walk over the words of length n - 1.
-For each position it keeps the running maximum and the swrec of the
-prefix ending there.  After a bump at position i the tail is reset to
-1s, which are never records, so the tail inherits position i's maximum
-and swrec and nothing is rescanned.  Each caller then loops over the
-last letter explicitly, so every word of length n is still visited by
-exactly one loop iteration; the last letter adds n * letter to swrec iff
-it exceeds the prefix maximum, the record definition applied one letter
-at a time.
+share one private lexicographic walk, ``_walk``, which yields every word
+of a given length with its maximum and swrec.  It keeps the running
+maximum and the prefix swrec at every position but the last; after a
+bump at position i the tail is reset to 1s, which are never records, so
+the tail inherits position i's maximum and swrec and nothing is rescanned.
+The last position then runs through its letters in a plain loop: the t
+letters up to the prefix maximum t leave swrec as it is, and t + 1 is a
+record that adds length * (t + 1), the record definition applied to one
+letter.
+
+``enumerate_rgs`` walks length n and yields every word (or those with
+k blocks).  The histogram and the total walk the prefixes of length
+n - 1 and count each prefix's last letters in two classes instead of
+visiting them: a prefix with maximum t and swrec r has t extensions with
+swrec r (maximum t) and one with swrec r + n(t + 1) (maximum t + 1).  So
+every prefix is walked and every word of length n is counted exactly
+once, by its prefix.
 """
 
 from __future__ import annotations
@@ -85,14 +93,9 @@ def enumerate_rgs(n: int, k: int | None = None) -> Iterator[Word]:
     _check_size(n, k)
     if k is not None and k > n:
         return
-    if n == 0:
-        yield ()
-        return
-    for w, top, _ in _walk(n - 1):
-        prefix = tuple(w)
-        for v in range(1, top + 2):
-            if k is None or k == (v if v > top else top):
-                yield prefix + (v,)
+    for w, t, _ in _walk(n):
+        if k is None or t == k:
+            yield tuple(w)
 
 
 def _walk(length: int) -> Iterator[tuple[list[int], int, int]]:
@@ -100,16 +103,24 @@ def _walk(length: int) -> Iterator[tuple[list[int], int, int]]:
     lexicographic order; length 0 gives the empty word as ([], 0, 0).
     The word is the walk's own list and changes at the next step."""
     w = [1] * length
-    if length == 0:
-        yield w, 0, 0
+    if length <= 1:
+        yield w, length, length
         return
-    top = [1] * length  # top[i] = max(w[0..i])
-    rec = [1] * length  # rec[i] = swrec(w[0..i])
-    yield w, 1, 1
+    last = length - 1
+    top = [1] * last  # top[i] = max(w[0..i]) over the prefix w[0..last-1]
+    rec = [1] * last  # rec[i] = swrec(w[0..i])
     while True:
-        # Rightmost position that can still grow: w[i] may be bumped iff
-        # w[i] <= top[i-1] (it is not already the prefix maximum + 1).
-        i = length - 1
+        t = top[-1]
+        r = rec[-1]
+        step = w, t, r  # built once: the t non-records share it
+        for v in range(1, t + 1):
+            w[last] = v
+            yield step
+        w[last] = t + 1
+        yield w, t + 1, r + length * (t + 1)
+        # Rightmost prefix position that can still grow: w[i] may be bumped
+        # iff w[i] <= top[i-1] (it is not already the prefix maximum + 1).
+        i = last - 1
         while i > 0 and w[i] > top[i - 1]:
             i -= 1
         if i == 0:
@@ -122,12 +133,11 @@ def _walk(length: int) -> Iterator[tuple[list[int], int, int]]:
             r += (i + 1) * v
         top[i] = t
         rec[i] = r
-        tail = length - 1 - i
+        tail = last - 1 - i
         if tail:
-            w[i + 1:] = [1] * tail
+            w[i + 1:last] = [1] * tail
             top[i + 1:] = [t] * tail
             rec[i + 1:] = [r] * tail
-        yield w, t, r
 
 
 def records(word: Sequence[int]) -> list[RecordEntry]:
@@ -190,12 +200,10 @@ def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:
     if n == 0:
         return Counter({0: 1})
     for _, t, r in _walk(n - 1):
-        for v in range(1, t + 2):
-            if v > t:
-                if k is None or k == v:
-                    hist[r + n * v] += 1
-            elif k is None or k == t:
-                hist[r] += 1
+        if t and (k is None or k == t):
+            hist[r] += t
+        if k is None or k == t + 1:
+            hist[r + n * (t + 1)] += 1
     return hist
 
 
@@ -208,6 +216,5 @@ def total_swrec_bruteforce(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     if n == 0:
         return total
     for _, t, r in _walk(n - 1):
-        for v in range(1, t + 2):
-            total += r + n * v if v > t else r
+        total += (t + 1) * (r + n)
     return total

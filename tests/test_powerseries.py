@@ -76,6 +76,13 @@ def test_float_coefficients_rejected():
         UniSeries([1, 2]).scale(0.5)
 
 
+def test_bool_coefficients_rejected():
+    with pytest.raises(TypeError):
+        UniSeries([True, 0])
+    with pytest.raises(TypeError):
+        UniSeries([1, 2]).scale(True)
+
+
 def test_reading_past_order_rejected():
     with pytest.raises(ValueError):
         UniSeries([1, 2]).coefficient(2)

@@ -18,6 +18,7 @@ from partition_records import (
     swrec_histogram,
     total_swrec_bruteforce,
 )
+from partition_records.setpartitions import _walk
 
 
 def sum_of_squares(n):
@@ -88,6 +89,22 @@ def test_enumeration_matches_bruteforce_filter():
             if is_valid_rgs(w)
         ]
         assert list(enumerate_rgs(n)) == expected
+
+
+def test_walk_matches_filtered_products():
+    # The walk's fast last position must agree with the record definition:
+    # every valid word once, in order, with its maximum and its swrec.
+    for length in range(8):
+        expected = [
+            w
+            for w in itertools.product(range(1, length + 1), repeat=length)
+            if is_valid_rgs(w)
+        ]
+        walked = [(tuple(w), t, r) for w, t, r in _walk(length)]
+        assert [w for w, _, _ in walked] == expected, length
+        for w, t, r in walked:
+            assert t == max(w, default=0), w
+            assert r == swrec(w), w
 
 
 def test_counts_match_tables(tables):
@@ -213,6 +230,7 @@ def test_malformed_blocks_rejected():
 def test_swrec_histogram_examples():
     assert dict(swrec_histogram(3, 2)) == {5: 2, 7: 1}
     assert dict(swrec_histogram(2)) == {1: 1, 5: 1}
+    assert dict(swrec_histogram(1)) == {1: 1}  # empty prefix, maximum 0
     assert dict(swrec_histogram(0)) == {0: 1}
 
 
@@ -251,7 +269,8 @@ def test_swrec_histogram_matches_per_word_definition():
     for n in range(0, 9):
         for k in [None, *range(1, n + 3)]:
             expected = Counter(swrec(w) for w in enumerate_rgs(n, k))
-            assert swrec_histogram(n, k) == expected, (n, k)
+            # as dicts: Counter equality would ignore a stored zero count
+            assert dict(swrec_histogram(n, k)) == dict(expected), (n, k)
 
 
 def test_total_swrec_pinned_at_cap():
