@@ -13,7 +13,6 @@ from .closedform import (
     bell_numbers,
     build_tables,
     egf_w,
-    stirling_triangle,
     total_swrec_formula,
 )
 from .genfunc import (
@@ -72,7 +71,6 @@ __all__ = [
     "records",
     "solve_r",
     "srec",
-    "stirling_triangle",
     "swrec",
     "swrec_histogram",
     "total_swrec_bruteforce",

@@ -1,15 +1,19 @@
 """Bell and Stirling number tables and the closed-form weighted-record totals.
 
-The total of the swrec statistic over all partitions of [n] has the exact
-Bell-number form
+The total T(n) of the swrec statistic over all partitions of [n] has the
+exact Bell-number form (Theorem 3)
 
-    T(n) = 3/4*(B_{n+3} - B_{n+2}) - (n + 7/4)*B_{n+1} - (n+1)/2 * B_n
+    4 T(n) = 3 B_{n+3} - 3 B_{n+2} - (4n + 7) B_{n+1} - (2n + 2) B_n
 
 and is also the coefficient n! * [x^n] of the exponential generating
-function
+function (Theorem 2)
 
     W(x) = e^(e^x - 1) * (3/4 e^{3x} + 3/2 e^{2x} - 7/4 e^x
                           - x e^{2x} - 3/2 x e^x - 1/2).
+
+Each is typed once, as the table ``BELL_FORM_4T`` or ``W_BRACKET`` that
+every evaluation reads.  Neither is derived from the other, so the
+``thm2`` suite, which compares the two, stays a check.
 
 This module builds exact integer tables of B_n and S(n,k) via the
 triangular recurrences (``build_tables`` is the one way to get them;
@@ -29,8 +33,17 @@ from fractions import Fraction
 from .powerseries import UniSeries
 
 
+# 4 T(n) = sum over h of (slope * n + const) * B_{n+h}: h -> (slope, const).
+BELL_FORM_4T: dict[int, tuple[int, int]] = {3: (0, 3), 2: (0, -3), 1: (-4, -7), 0: (-2, -2)}
+
+# W(x) = e^(e^x - 1) * sum of c * x^i * e^{jx}: (i, j) -> c.
+W_BRACKET: dict[tuple[int, int], Fraction] = {
+    (0, 3): Fraction(3, 4), (0, 2): Fraction(3, 2), (0, 1): Fraction(-7, 4),
+    (1, 2): Fraction(-1), (1, 1): Fraction(-3, 2), (0, 0): Fraction(-1, 2),
+}
+
 # Largest n at which the CLI and the verify suites evaluate T(n) by the
-# formula and the EGF: egf_w at order FORMULA_CAP takes about 2.0 s on a
+# formula and the EGF: egf_w at order FORMULA_CAP takes 1.2-1.4 s on a
 # 2-CPU host with Python 3.11, and its cost grows faster than the square of
 # the order (order^2 products of integers that grow with the order).
 FORMULA_CAP = 500
@@ -125,47 +138,39 @@ def bell_egf(order: int, tables: BellStirlingTables) -> UniSeries:
     return UniSeries([Fraction(tables.bell[n], math.factorial(n)) for n in range(order + 1)])
 
 
-def _exp_cx(c: int, order: int) -> UniSeries:
-    """e^{c x} as an exact series."""
-    return UniSeries.x(order).scale(c).exp()
-
-
 def egf_w(order: int, tables: BellStirlingTables) -> UniSeries:
-    """The aggregate EGF W(x) whose coefficients n![x^n] are the total of
-    swrec over all partitions of [n].
-
-    W(x) = BellEGF(x) * (3/4 e^{3x} + 3/2 e^{2x} - 7/4 e^x
-                         - x e^{2x} - 3/2 x e^x - 1/2)
-    """
+    """The aggregate EGF W(x) of the module docstring, built from
+    ``W_BRACKET``: its coefficients n![x^n] are the totals of swrec over
+    all partitions of [n]."""
     if tables.max_n < order + 3:
         raise ValueError(f"tables must cover order+3 = {order + 3}, have {tables.max_n}")
-    e1 = _exp_cx(1, order)
-    e2 = _exp_cx(2, order)
-    e3 = _exp_cx(3, order)
-    bracket = (
-        e3.scale(Fraction(3, 4))
-        + e2.scale(Fraction(3, 2))
-        - e1.scale(Fraction(7, 4))
-        - e2.shift(1)
-        - e1.shift(1).scale(Fraction(3, 2))
-        - UniSeries.constant(Fraction(1, 2), order)
-    )
-    return bell_egf(order, tables) * bracket
+    # e^{jx} for each j of the bracket; e^{0x} = 1 needs no series exp
+    exps = {
+        j: (UniSeries.x(order).scale(j).exp() if j else UniSeries.one(order)).coeffs
+        for j in {j for _, j in W_BRACKET}
+    }
+    # [x^n] of c x^i e^{jx} is c [x^(n-i)] e^{jx}
+    bracket = [
+        sum(c * exps[j][n - i] for (i, j), c in W_BRACKET.items() if i <= n)
+        for n in range(order + 1)
+    ]
+    return bell_egf(order, tables) * UniSeries(bracket)
 
 
 def total_swrec_formula(n: int, tables: BellStirlingTables) -> int:
     """Exact total of swrec over all partitions of [n], from Bell numbers.
 
-    Evaluated in integers as 4T = 3(B_{n+3} - B_{n+2}) - (4n+7) B_{n+1}
-    - 2(n+1) B_n.  4T is always divisible by 4; a remainder would mean the
-    tables are corrupt, and raises ArithmeticError.
+    Evaluates 4T(n) in integers from ``BELL_FORM_4T``.  4T is always
+    divisible by 4; a remainder would mean the tables are corrupt, and
+    raises ArithmeticError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if tables.max_n < n + 3:
-        raise ValueError(f"tables must cover n+3 = {n + 3}, have {tables.max_n}")
+    top = max(BELL_FORM_4T)
+    if tables.max_n < n + top:
+        raise ValueError(f"tables must cover n+{top} = {n + top}, have {tables.max_n}")
     b = tables.bell
-    four_t = 3 * (b[n + 3] - b[n + 2]) - (4 * n + 7) * b[n + 1] - 2 * (n + 1) * b[n]
+    four_t = sum((slope * n + const) * b[n + h] for h, (slope, const) in BELL_FORM_4T.items())
     if four_t % 4 != 0:
         raise ArithmeticError(f"total for n={n} is not an integer: {four_t}/4")
     return four_t // 4

@@ -37,6 +37,7 @@ end; they share no code, so each stays the other's oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,7 @@ from .powerseries import BiSeries, Rational, UniSeries
 
 # Caps of k and order for every product a caller can ask for (``gf`` and the
 # recurrence and lemma2 suites); the slowest case, run_recurrence(30, 60),
-# takes 12 s on a 2-CPU host.
+# takes 8-11 s on a 2-CPU host with Python 3.11.
 GF_MAX_K = 30
 GF_MAX_N = 60
 
@@ -75,6 +76,15 @@ def gf_recurrence(k: int, order: int) -> BiSeries:
     return g
 
 
+@functools.cache
+def _lemma2_weights(k: int) -> tuple[int, dict[int, int]]:
+    """Lemma 2's integer weights for k blocks: C_k = k(k+1)(2k+1)/6 and
+    d_i = i(1+k+i)(k-i)/2 for i = 1..k (i(1+k+i)(k-i) is always even).
+    Cached, as ``propn`` evaluates each k at many points; callers only read it."""
+    d = {i: i * (1 + k + i) * (k - i) // 2 for i in range(1, k + 1)}
+    return k * (k + 1) * (2 * k + 1) // 6, d
+
+
 def _divide_by(cs: list[int], i: int) -> list[int]:
     """Divide the series cs by (1 - i x) in place: a_n += i a_(n-1)."""
     for n in range(1, len(cs)):
@@ -85,10 +95,9 @@ def _divide_by(cs: list[int], i: int) -> list[int]:
 def total_swrec_series(k: int, order: int) -> tuple[int, ...]:
     """[x^0..x^order] of the ordinary generating function of sum(swrec over P_{n,k}).
 
-    Equals d/dq G_k(x,q) at q = 1:
+    Equals d/dq G_k(x,q) at q = 1, with the weights of ``_lemma2_weights``:
 
-        x^k * (C(k+1,2) + 2 C(k+1,3)) / ((1-x)...(1-kx))
-        + x^(k+1) / ((1-x)...(1-kx)) * sum_i i(i+1+k)(k-i) / (2(1-ix))
+        x^k / ((1-x)...(1-kx)) * (C_k + sum_i d_i x / (1-ix))
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -97,20 +106,20 @@ def total_swrec_series(k: int, order: int) -> tuple[int, ...]:
     base = ([0] * k + [1] + [0] * order)[: order + 1]
     for i in range(1, k + 1):
         _divide_by(base, i)  # base = x^k / ((1-x)...(1-kx))
-    head = math.comb(k + 1, 2) + 2 * math.comb(k + 1, 3)
+    head, d = _lemma2_weights(k)
     totals = [head * b for b in base]
-    for i in range(1, k + 1):
-        c = i * (i + 1 + k) * (k - i) // 2  # the product is always even
+    for i, d_i in d.items():
         term = _divide_by([0] + base[:-1], i)  # x * base / (1 - i x)
-        totals = [t + c * v for t, v in zip(totals, term)]
+        totals = [t + d_i * v for t, v in zip(totals, term)]
     return tuple(totals)
 
 
 def total_swrec_rational(k: int, y: Rational) -> Fraction:
-    """The same per-k total generating function, transformed by x -> 1/y and
-    evaluated exactly at the rational point y (poles 1..k are rejected):
+    """The same per-k total generating function, with the weights of
+    ``_lemma2_weights``, transformed by x -> 1/y and evaluated exactly at
+    the rational point y (poles 1..k are rejected):
 
-        prod_i (y-i)^(-1) * ( k(k+1)(2k+1)/6 + sum_i i(1+k+i)(k-i) / (2(y-i)) )
+        prod_i (y-i)^(-1) * ( C_k + sum_i d_i / (y-i) )
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -120,12 +129,12 @@ def total_swrec_rational(k: int, y: Rational) -> Fraction:
     # With y = p/d, y - i = (p - i d)/d.  The bracket is kept as an
     # unnormalised integer ratio num/den with den = prod_i (p - i d), so the
     # product prod_i (y - i) = den / d^k and one Fraction is built at the end.
-    # i(1+k+i)(k-i) is always even, so every term is integral.
     p, d = y.numerator, y.denominator
-    num, den = k * (k + 1) * (2 * k + 1) // 6, 1
-    for i in range(1, k + 1):
+    num, weights = _lemma2_weights(k)
+    den = 1
+    for i, d_i in weights.items():
         q = p - i * d
-        num = num * q + i * (1 + k + i) * (k - i) // 2 * d * den
+        num = num * q + d_i * d * den
         den *= q
     return Fraction(num * d**k, den * den)
 
@@ -195,7 +204,7 @@ def pole_expansion_coeffs(k: int, m: int) -> tuple[Fraction, Fraction]:
              = prod_{i != m} (m-i+t)^(-1)
                * ( C t + d_m + sum_{i != m} d_i * t / (m-i+t) )
 
-    with C = k(k+1)(2k+1)/6 and d_i = i(1+k+i)(k-i)/2, as an exact
+    with C = C_k and d_i the weights of ``_lemma2_weights``, as an exact
     rational series in t.  Then a_m = G(0) and b_m = G'(0): the first two
     Taylor coefficients.  No use is made of the explicit formulas in
     ``partial_fraction_coeffs``, so the two can cross-check each other.
@@ -203,18 +212,14 @@ def pole_expansion_coeffs(k: int, m: int) -> tuple[Fraction, Fraction]:
     if not 1 <= m <= k:
         raise ValueError("m must be in 1..k")
     order = 1  # two-term Taylor expansion suffices for a and b
-    big_c = k * (k + 1) * (2 * k + 1) // 6  # both are always integers
-
-    def d_coeff(i: int) -> int:
-        return i * (1 + k + i) * (k - i) // 2
-
+    big_c, d = _lemma2_weights(k)
     prod = UniSeries.one(order)
-    inner = UniSeries([d_coeff(m), big_c], order=order)
-    for i in range(1, k + 1):
+    inner = UniSeries([d[m], big_c], order=order)
+    for i, d_i in d.items():
         if i == m:
             continue
         rec = UniSeries([m - i, 1], order=order).reciprocal()
         prod = prod * rec
-        inner = inner + rec.shift(1).scale(d_coeff(i))
+        inner = inner + rec.shift(1).scale(d_i)
     g = prod * inner
     return g.coefficient(0), g.coefficient(1)

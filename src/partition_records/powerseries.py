@@ -103,10 +103,6 @@ class UniSeries:
         return cls([1], order=order)
 
     @classmethod
-    def constant(cls, c: Rational, order: int) -> "UniSeries":
-        return cls([c], order=order)
-
-    @classmethod
     def x(cls, order: int) -> "UniSeries":
         return cls([0, 1], order=order)
 
@@ -141,12 +137,6 @@ class UniSeries:
             return NotImplemented
         self._require_same_order(other)
         return UniSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: "UniSeries") -> "UniSeries":
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return UniSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def scale(self, c: Rational) -> "UniSeries":
         f = _as_fraction(c)

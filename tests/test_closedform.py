@@ -1,6 +1,7 @@
 """Bell/Stirling tables, the aggregate EGF, and the exact total formula."""
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from partition_records import (
     total_swrec_bruteforce,
     total_swrec_formula,
 )
+from partition_records.closedform import BELL_FORM_4T, W_BRACKET
 
 
 def test_bell_small_values():
@@ -116,3 +118,45 @@ def test_total_formula_needs_tables():
     small = build_tables(4)
     with pytest.raises(ValueError):
         total_swrec_formula(2, small)
+
+
+# ---------------------------------------------------------------------------
+# Theorem 2 <=> Theorem 3, for every n, from the two tables
+# ---------------------------------------------------------------------------
+#
+# A series E * F(x, y), with E = e^(e^x - 1), y = e^x and F in Q[x, y], is
+# stored as F: {(i, j): c} for the sum of c x^i y^j.  Since E' = y E and
+# y' = y, d/dx acts on F as D(F) = y F + dF/dx + y dF/dy.  The EGF of
+# B_{n+h} is D^h E, and x * d/dx multiplies the n-th EGF coefficient by n,
+# so sum_h (slope n + const) B_{n+h} has the EGF
+# E * sum_h (slope x D + const) D^h 1.
+
+
+def _d(f: dict) -> dict:
+    out = defaultdict(Fraction)
+    for (i, j), c in f.items():
+        out[i, j + 1] += c  # y F
+        out[i, j] += j * c  # y dF/dy
+        if i:
+            out[i - 1, j] += i * c  # dF/dx
+    return out
+
+
+def _add_scaled(total: dict, f: dict, c: int) -> None:
+    for key, v in f.items():
+        total[key] += c * v
+
+
+def test_bell_form_and_w_bracket_agree_for_every_n():
+    total = defaultdict(Fraction)
+    d_h = {(0, 0): Fraction(1)}  # D^h E = E * d_h, from h = 0
+    for h in range(max(BELL_FORM_4T) + 1):
+        slope, const = BELL_FORM_4T.get(h, (0, 0))
+        d_next = _d(d_h)
+        _add_scaled(total, d_h, const)
+        _add_scaled(total, {(i + 1, j): v for (i, j), v in d_next.items()}, slope)
+        d_h = d_next
+    # 4 W: -2 - 7y + 6y^2 + 3y^3 - 6xy - 4xy^2
+    assert {key: v for key, v in total.items() if v} == {
+        key: 4 * c for key, c in W_BRACKET.items()
+    }

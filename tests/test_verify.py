@@ -161,6 +161,95 @@ def test_bellshift_reports_bound_and_decay(monkeypatch, tables):
 
 
 # ---------------------------------------------------------------------------
+# Mutants: every hand-typed constant of the closed forms is pinned.  Each
+# mutant moves one constant by +-1; some suite must then fail a case or
+# raise ArithmeticError.
+# ---------------------------------------------------------------------------
+
+
+def _mutation_suites(tables):
+    return {
+        "thm3": lambda: verify.run_thm3(max_n=8, tables=tables),
+        "thm2": lambda: verify.run_thm2(max_n=12, tables=tables),
+        "lemma2": lambda: verify.run_lemma2(5, 8, 6),
+        "propn": lambda: verify.run_propn(5, 3),
+    }
+
+
+def _killed_by(tables) -> set[str]:
+    killed = set()
+    for suite, run in _mutation_suites(tables).items():
+        try:
+            if not run().passed:
+                killed.add(suite)
+        except ArithmeticError:
+            killed.add(suite)
+    return killed
+
+
+def _lemma2_mutant(real, index, delta):
+    """``real`` with C_k (index 0) or d_index moved by delta."""
+
+    def mutant(k):
+        big_c, d = real(k)
+        if index == 0:
+            return big_c + delta, d
+        return big_c, {i: d_i + delta * (i == index) for i, d_i in d.items()}
+
+    return mutant
+
+
+# (kind, target, delta): "bell" moves the slope (field 0) or the const
+# (field 1) of BELL_FORM_4T[h]; "bracket" moves W_BRACKET[(i, j)]; "lemma2"
+# moves C_k (index 0) or d_index, for every k, of _lemma2_weights.
+_MUTANTS = [
+    (kind, target, delta)
+    for kind, targets in [
+        ("bell", [(h, field) for h in closedform.BELL_FORM_4T for field in (0, 1)]),
+        ("bracket", list(closedform.W_BRACKET)),
+        ("lemma2", range(6)),
+    ]
+    for target in targets
+    for delta in (1, -1)
+]
+
+
+def _label(kind, target) -> str:
+    if kind == "bell":
+        return f"h{target[0]}-{('slope', 'const')[target[1]]}"
+    if kind == "bracket":
+        return f"x^{target[0]}e^{target[1]}x"
+    return f"d{target}" if target else "C"
+
+
+def test_mutation_suites_pass_unmutated(tables):
+    assert _killed_by(tables) == set()
+
+
+@pytest.mark.parametrize(
+    "kind, target, delta",
+    _MUTANTS,
+    ids=[f"{kind}-{_label(kind, target)}{delta:+d}" for kind, target, delta in _MUTANTS],
+)
+def test_every_closed_form_constant_is_pinned(monkeypatch, tables, kind, target, delta):
+    if kind == "bell":
+        h, field = target
+        entry = list(closedform.BELL_FORM_4T[h])
+        entry[field] += delta
+        monkeypatch.setitem(closedform.BELL_FORM_4T, h, tuple(entry))
+    elif kind == "bracket":
+        monkeypatch.setitem(closedform.W_BRACKET, target, closedform.W_BRACKET[target] + delta)
+    else:
+        mutant = _lemma2_mutant(genfunc._lemma2_weights, target, delta)
+        monkeypatch.setattr(genfunc, "_lemma2_weights", mutant)
+    killed = _killed_by(tables)
+    assert killed
+    if kind == "lemma2":
+        # both suites that read the weights catch each mutant on their own
+        assert {"lemma2", "propn"} <= killed
+
+
+# ---------------------------------------------------------------------------
 # all
 # ---------------------------------------------------------------------------
 
