@@ -2,7 +2,8 @@
 coefficients, exact totals, asymptotics, and the verification suites.
 
 Data goes to stdout, logs and errors to stderr.  Exit codes: 0 success
-(verify: all cases passed), 1 verification failures, 2 usage errors.
+(verify: all cases passed), 1 verification failures or a stdout closed
+before the output ends (no traceback), 2 usage errors.
 Output for a given set of flags is deterministic, except for the
 ``elapsed_ms`` timing field of verify outcomes.  A usage error is one
 ``error:`` line on stderr that names the flag at fault.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -42,6 +44,9 @@ from .setpartitions import (
 ASYMPTOTIC_MAX_N = 1000
 
 _STATS = {"swrec": swrec, "srec": srec, "rec": rec_count}
+
+# Every verify size keyword, one flag each, in first-seen order.
+_VERIFY_KEYWORDS = tuple(dict.fromkeys(k for row in verify_mod.SUITE_RANGES.values() for k in row))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +118,7 @@ def _flag(keyword: str) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     kwargs = {}
-    for keyword in ("max_n", "max_k", "order", "points"):
+    for keyword in _VERIFY_KEYWORDS:
         value = getattr(args, keyword)
         if value is None:
             continue
@@ -175,10 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(verify_mod.SUITES), required=True)
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--points", type=int, default=None)
+    for keyword in _VERIFY_KEYWORDS:
+        p.add_argument(_flag(keyword), type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("asymptotic", help="asymptotic-estimate reports")
@@ -202,7 +205,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (as by `| head`): the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

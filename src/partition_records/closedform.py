@@ -144,11 +144,11 @@ def egf_w(order: int, tables: BellStirlingTables) -> UniSeries:
     all partitions of [n]."""
     if tables.max_n < order + 3:
         raise ValueError(f"tables must cover order+3 = {order + 3}, have {tables.max_n}")
-    # e^{jx} for each j of the bracket; e^{0x} = 1 needs no series exp
-    exps = {
-        j: (UniSeries.x(order).scale(j).exp() if j else UniSeries.one(order)).coeffs
-        for j in {j for _, j in W_BRACKET}
-    }
+    # e^{jx} = exp of [0, j, 0, ..., 0] (order + 1 terms) for each j of the
+    # bracket; e^{0x} = 1 needs no series exp
+    exps = {0: (1,) + (0,) * order}
+    for j in {j for _, j in W_BRACKET} - {0}:
+        exps[j] = UniSeries(([0, j] + [0] * order)[: order + 1]).exp().coeffs
     # [x^n] of c x^i e^{jx} is c [x^(n-i)] e^{jx}
     bracket = [
         sum(c * exps[j][n - i] for (i, j), c in W_BRACKET.items() if i <= n)

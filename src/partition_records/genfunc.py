@@ -211,15 +211,11 @@ def pole_expansion_coeffs(k: int, m: int) -> tuple[Fraction, Fraction]:
     """
     if not 1 <= m <= k:
         raise ValueError("m must be in 1..k")
-    order = 1  # two-term Taylor expansion suffices for a and b
     big_c, d = _lemma2_weights(k)
-    prod = UniSeries.one(order)
-    inner = UniSeries([d[m], big_c], order=order)
-    for i, d_i in d.items():
-        if i == m:
-            continue
-        rec = UniSeries([m - i, 1], order=order).reciprocal()
-        prod = prod * rec
-        inner = inner + rec.shift(1).scale(d_i)
-    g = prod * inner
+    # a and b need every factor through t^1 only; the t-term of
+    # d_i t/(m-i+t) is d_i [t^0] 1/(m-i+t)
+    recs = {i: UniSeries([m - i, 1]).reciprocal() for i in d if i != m}
+    g = UniSeries([d[m], big_c + sum(d[i] * rec.coefficient(0) for i, rec in recs.items())])
+    for rec in recs.values():
+        g = g * rec
     return g.coefficient(0), g.coefficient(1)

@@ -7,13 +7,17 @@ Two representations are provided:
     (terms x^0 .. x^N are kept), for series that really are rational: the
     EGF W(x) and the Taylor expansions at the poles of the per-k totals.
     Coefficients are ``fractions.Fraction``, stored as a tuple of N+1.
-    A product puts each factor over the lcm of its denominators, so its
-    coefficients become integer numerators over one denominator each;
-    every output coefficient is then an integer dot product and a single
-    ``Fraction`` reduction, not one reduction per term.  ``exp`` and
-    ``reciprocal`` first scan their input once for its nonzero terms, and
-    each step of their recurrences sums over those terms only: O(order)
-    steps of one term each for e^{cx} = exp(c x).
+    It is built from the full coefficient list, read through ``order``,
+    ``coeffs``, ``coefficient`` and ``egf_coefficient``, and has three
+    kernels: ``*``, ``exp`` and ``reciprocal``.  ``perfbench`` traces all
+    three, so they stay until ROADMAP item 3 moves the class and its
+    spans in one change.  A product (same order only) puts each factor
+    over the lcm of its denominators, so every output coefficient is an
+    integer dot product and a single ``Fraction`` reduction, not one
+    reduction per term.  ``exp`` and ``reciprocal`` first scan their
+    input once for its nonzero terms, and each step of their recurrences
+    sums over those terms only: O(order) steps of one term each for
+    e^{cx} = exp(c x).
 
 ``BiSeries``
     A power series in x whose coefficients are integer polynomials in a
@@ -79,32 +83,12 @@ class UniSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Rational], order: int | None = None):
-        """Build a series from ``coeffs`` = [c0, c1, ...].
-
-        If ``order`` is given, the coefficient list is padded with zeros or
-        truncated so that exactly ``order + 1`` terms are kept; otherwise
-        the order is ``len(coeffs) - 1``.
-        """
-        cs = [_as_fraction(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValueError("order must be >= 0")
-            cs = cs[: order + 1]
-            cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        elif not cs:
-            raise ValueError("a series needs at least a constant term (or pass order=)")
-        self._coeffs = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def one(cls, order: int) -> "UniSeries":
-        return cls([1], order=order)
-
-    @classmethod
-    def x(cls, order: int) -> "UniSeries":
-        return cls([0, 1], order=order)
+    def __init__(self, coeffs: Iterable[Rational]):
+        """The series c0 + c1 x + ... + cN x^N of ``coeffs`` = [c0, ..., cN]."""
+        cs = tuple([_as_fraction(c) for c in coeffs])
+        if not cs:
+            raise ValueError("a series needs at least a constant term")
+        self._coeffs = cs
 
     # -- inspection ---------------------------------------------------
 
@@ -126,27 +110,14 @@ class UniSeries:
         """n! * [x^n], i.e. the value counted by an exponential generating function."""
         return self.coefficient(n) * math.factorial(n)
 
-    def _require_same_order(self, other: "UniSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"series orders differ: {self.order} vs {other.order}")
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "UniSeries") -> "UniSeries":
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        return UniSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def scale(self, c: Rational) -> "UniSeries":
-        f = _as_fraction(c)
-        return UniSeries([a * f for a in self._coeffs])
+    # -- kernels -------------------------------------------------------
 
     def __mul__(self, other: "UniSeries") -> "UniSeries":
         if not isinstance(other, UniSeries):
             return NotImplemented
-        self._require_same_order(other)
         n = self.order
+        if n != other.order:
+            raise ValueError(f"series orders differ: {n} vs {other.order}")
         a, da = _over_common_denominator(self._coeffs)
         b, db = _over_common_denominator(other._coeffs)
         b.reverse()
@@ -155,13 +126,6 @@ class UniSeries:
         return UniSeries(
             [Fraction(sum(map(operator.mul, a[: m + 1], b[n - m :])), den) for m in range(n + 1)]
         )
-
-    def shift(self, m: int) -> "UniSeries":
-        """Multiply by x^m (coefficients move up; the tail is truncated)."""
-        if m < 0:
-            raise ValueError("shift amount must be >= 0")
-        out = [Fraction(0)] * m + list(self._coeffs)
-        return UniSeries(out[: self.order + 1], order=self.order)
 
     def reciprocal(self) -> "UniSeries":
         """Multiplicative inverse through the truncation order.

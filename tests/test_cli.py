@@ -33,6 +33,16 @@ def test_enumerate_n3():
     assert res.stdout.splitlines() == ["111", "112", "121", "122", "123"]
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    cmd = [sys.executable, "-m", "partition_records", "enumerate", "--n", "10"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1.1.1.1.1.1.1.1.1.1\n"
+    proc.stdout.close()  # the rest of the 115975 lines meets a closed pipe
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_enumerate_with_stat():
     res = run_cli("enumerate", "--n", "3", "--k", "2", "--stat", "swrec")
     assert res.returncode == 0
@@ -446,7 +456,7 @@ def test_sizes_past_a_cap_are_usage_errors(template, cap, monkeypatch, capsys):
 # ones, 2 for the removed ones and for verify flags the suite does not take.
 _SMALL = st.integers(-3, 14)
 _ENUM_N = st.sampled_from([*range(-3, 9), 13, 14])
-_VERIFY_CAPS = ("max_n", "max_k", "order", "points")
+_VERIFY_CAPS = tuple(dict.fromkeys(kw for row in verify.SUITE_RANGES.values() for kw in row))
 
 
 def _given(draw, tenths: int) -> bool:

@@ -139,6 +139,26 @@ def test_thm2_reports_a_non_integral_total(monkeypatch, tables):
     assert out.failures == [CaseFailure("integer n=7", "integer", "not integral at n=7")]
 
 
+def test_thm2_reports_a_raise_in_the_formula_range(monkeypatch, tables):
+    real = closedform.total_swrec_formula
+    calls = []
+
+    def raises_at_3(n, tables):
+        calls.append(n)
+        if n == 3:
+            raise ArithmeticError("not integral at n=3")
+        return real(n, tables)
+
+    monkeypatch.setattr(closedform, "total_swrec_formula", raises_at_3)
+    out = verify.run_thm2(max_n=5, tables=tables)
+    assert out.cases_run == 13 + 6 + 501
+    assert out.failures == [
+        CaseFailure("formula n=3", "not integral at n=3", str(real(3, tables))),
+        CaseFailure("integer n=3", "integer", "not integral at n=3"),
+    ]
+    assert calls == list(range(501))
+
+
 def test_bellshift_reports_bound_and_decay(monkeypatch, tables):
     monkeypatch.setattr(verify, "bell_shift_error", lambda n, h, tables: 1.0)
     out = verify.run_bellshift(tables=tables)
