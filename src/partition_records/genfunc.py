@@ -13,11 +13,11 @@ constructions are provided:
 
 ``gf_recurrence``
     iterating G_k(x,q) = x q^k / (1 - k x) * G_{k-1}(x q^k, q) from
-    G_1(x,q) = x q / (1 - x).
+    G_1(x,q) = x q / (1 - x), or taking that one step from a given G_{k-1}.
 
-Both multiply k factors, and every product has a geometric factor, so
-each runs the O(order) recurrence of ``BiSeries.geometric``, the only
-``BiSeries`` product (see ``powerseries``).  The two constructions check
+Built from scratch, both multiply k factors, and every product has a
+geometric factor, so each runs the O(order) recurrence of
+``BiSeries.geometric``, the only ``BiSeries`` product (see ``powerseries``).  The two constructions check
 each other (the ``recurrence`` suite), and the enumeration histograms of
 the ``eq1`` suite check the product form independently.
 
@@ -47,8 +47,9 @@ from .powerseries import BiSeries, Rational, UniSeries
 
 
 # Caps of k and order for every product a caller can ask for (``gf`` and the
-# recurrence and lemma2 suites); the slowest case, run_recurrence(30, 60),
-# takes 8-11 s on a 2-CPU host with Python 3.11.
+# recurrence and lemma2 suites); the slowest cases, run_recurrence(30, 60)
+# and run_lemma2(30, 60), each take about 5.5-7.5 s on a 2-CPU host with
+# Python 3.11, most of it in gf_product.
 GF_MAX_K = 30
 GF_MAX_N = 60
 
@@ -65,12 +66,25 @@ def gf_product(k: int, order: int) -> BiSeries:
     return result
 
 
-def gf_recurrence(k: int, order: int) -> BiSeries:
-    """G_k(x, q) built by iterating the block recurrence from G_1."""
+def gf_recurrence(k: int, order: int, below: BiSeries | None = None) -> BiSeries:
+    """G_k(x, q) built by the block recurrence.
+
+    Given ``below`` = G_(k-1) at the same order (k >= 2), this takes the one
+    step G_k = x q^k / (1 - k x) * G_(k-1)(x q^k, q); without it, it iterates
+    that step from G_1 = x q / (1 - x).  A caller that needs G_1..G_K builds
+    them as one chain by passing each result to the next call.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    g = BiSeries.geometric(1, 1, 0, order)  # G_1 = x q / (1 - x)
-    for kk in range(2, k + 1):
+    if below is None:
+        g, first = BiSeries.geometric(1, 1, 0, order), 2  # G_1 = x q / (1 - x)
+    elif k == 1:
+        raise ValueError("G_1 has no G_0 to step from")
+    elif below.order != order:
+        raise ValueError(f"below has order {below.order}, not {order}")
+    else:
+        g, first = below, k
+    for kk in range(first, k + 1):
         front = BiSeries.geometric(kk, kk, 0, order)  # x q^kk / (1 - kk x)
         g = front * g.substitute_x_qpow(kk)
     return g
@@ -141,11 +155,22 @@ def total_swrec_rational(k: int, y: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class PartialFractionDecomposition:
-    """Coefficients of sum_m [ a_m/(y-m)^2 + b_m/(y-m) ] for fixed k."""
+    """Coefficients of sum_m [ a_m/(y-m)^2 + b_m/(y-m) ] for fixed k, stored
+    as integer numerators over one common denominator:
+    a_m = a_num[m] / denominator and b_m = b_num[m] / denominator."""
 
     k: int
-    a: Mapping[int, Fraction]
-    b: Mapping[int, Fraction]
+    denominator: int
+    a_num: Mapping[int, int]
+    b_num: Mapping[int, int]
+
+    @property
+    def a(self) -> dict[int, Fraction]:
+        return {m: Fraction(v, self.denominator) for m, v in self.a_num.items()}
+
+    @property
+    def b(self) -> dict[int, Fraction]:
+        return {m: Fraction(v, self.denominator) for m, v in self.b_num.items()}
 
 
 def partial_fraction_coeffs(k: int) -> PartialFractionDecomposition:
@@ -155,44 +180,43 @@ def partial_fraction_coeffs(k: int) -> PartialFractionDecomposition:
         b_m = (-1)^(k-m) (k^2 (m/4+1) + k (m^2/2 + 3m/4 + 1)
                           - (3 m^2/2 + m)) / ((m-1)! (k-m)!)
 
-    Note a_k = 0 always (the k-m factor vanishes).
+    Note a_k = 0 always (the k-m factor vanishes).  Each (m-1)! (k-m)!
+    divides (k-1)!, so over the common denominator 4 (k-1)! both are
+    integers times the binomial C(k-1, m-1) = (k-1)! / ((m-1)! (k-m)!).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    a: dict[int, Fraction] = {}
-    b: dict[int, Fraction] = {}
+    a_num: dict[int, int] = {}
+    b_num: dict[int, int] = {}
     for m in range(1, k + 1):
-        sign = -1 if (k - m) % 2 else 1
-        denom = math.factorial(m - 1) * math.factorial(k - m)
-        a[m] = Fraction(sign * m * (1 + k + m) * (k - m), 2 * denom)
-        poly = (
-            k * k * (Fraction(m, 4) + 1)
-            + k * (Fraction(m * m, 2) + Fraction(3 * m, 4) + 1)
-            - (Fraction(3 * m * m, 2) + m)
-        )
-        b[m] = sign * poly / denom
-    return PartialFractionDecomposition(k=k, a=a, b=b)
+        scale = (-1 if (k - m) % 2 else 1) * math.comb(k - 1, m - 1)
+        a_num[m] = scale * 2 * m * (1 + k + m) * (k - m)
+        b_num[m] = scale * (k * k * (m + 4) + k * (2 * m * m + 3 * m + 4) - (6 * m * m + 4 * m))
+    return PartialFractionDecomposition(k, 4 * math.factorial(k - 1), a_num, b_num)
 
 
 def partial_fraction_eval(d: PartialFractionDecomposition, y: Rational) -> Fraction:
-    """Evaluate the decomposition at a non-pole rational point y."""
+    """Evaluate the decomposition at a non-pole rational point y.
+
+    With y = p/e, y - m = q_m/e for q_m = p - m e, and with a_m = A_m/D and
+    b_m = B_m/D (D = ``d.denominator``),
+
+        a_m/(y-m)^2 + b_m/(y-m) = e (A_m e + B_m q_m) / (D q_m^2).
+
+    The terms are summed as integers over the running product of the q_m^2,
+    and one Fraction is built at the end.
+    """
     y = Fraction(y)
     if y.denominator == 1 and 1 <= y.numerator <= d.k:
         raise ValueError(f"y={y} is a pole (integers 1..{d.k} are excluded)")
-    # With y = p/e, y - m = (p - m e)/e, so
-    #     a/(y-m)^2 + b/(y-m) = (a_num b_den e^2 + b_num a_den e q) / (a_den b_den q^2)
-    # with q = p - m e; the sum is kept as an unnormalised integer ratio and
-    # one Fraction is built at the end.
     p, e = y.numerator, y.denominator
     num, den = 0, 1
     for m in range(1, d.k + 1):
-        a, b = d.a[m], d.b[m]
         q = p - m * e
-        term_num = (a.numerator * b.denominator * e + b.numerator * a.denominator * q) * e
-        term_den = a.denominator * b.denominator * q * q
-        num = num * term_den + term_num * den
-        den *= term_den
-    return Fraction(num, den)
+        q2 = q * q
+        num = num * q2 + (d.a_num[m] * e + d.b_num[m] * q) * den
+        den *= q2
+    return Fraction(num * e, den * d.denominator)
 
 
 def pole_expansion_coeffs(k: int, m: int) -> tuple[Fraction, Fraction]:

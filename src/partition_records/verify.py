@@ -182,11 +182,16 @@ def run_eq1(max_n: int = DEFAULT_ENUM_MAX_N) -> VerificationOutcome:
 def run_recurrence(
     max_k: int = DEFAULT_MAX_K, order: int = DEFAULT_SERIES_ORDER
 ) -> VerificationOutcome:
-    """Product vs. recurrence construction, coefficient-wise, one case per k."""
+    """Product vs. recurrence construction, coefficient-wise, one case per k.
+
+    The recurrence side is one chain: each k's G_k is one step from the
+    previous k's, so a wrong G_k also fails every later k.  The product
+    side is built afresh for each k."""
     rec = _Recorder("recurrence", max_k=max_k, order=order)
+    b = None
     for k in range(1, max_k + 1):
         a = genfunc.gf_product(k, order)
-        b = genfunc.gf_recurrence(k, order)
+        b = genfunc.gf_recurrence(k, order, below=b)
         if a == b:
             rec.check(f"recurrence k={k}", True, True)
         else:

@@ -62,6 +62,21 @@ def test_recurrence_matches_product():
         assert gf_recurrence(k, 8) == gf_product(k, 8)
 
 
+def test_recurrence_step_from_below_matches_full_chain():
+    for k in range(2, 11):
+        assert gf_recurrence(k, 12, gf_recurrence(k - 1, 12)) == gf_recurrence(k, 12), k
+
+
+def test_recurrence_step_rejects_below_of_another_order():
+    with pytest.raises(ValueError):
+        gf_recurrence(3, 12, gf_recurrence(2, 11))
+
+
+def test_recurrence_step_rejects_below_at_k1():
+    with pytest.raises(ValueError):
+        gf_recurrence(1, 6, gf_recurrence(1, 6))
+
+
 def test_q_power_bounds():
     # every swrec value s at x^n satisfies k(k+1)/2 <= s <= sum of squares(n),
     # and the smallest one is exactly 1^2 + ... + k^2 (words starting 12..k)
@@ -207,6 +222,13 @@ def test_rational_evaluations_match_fraction_reference():
             expected = reference_rational(k, y)
             assert total_swrec_rational(k, y) == expected, (k, y)
             assert partial_fraction_eval(d, y) == reference_partial_fraction(d, y) == expected
+
+
+def test_integer_partial_fraction_eval_matches_fraction_reference_off_grid():
+    for k in (1, 5, 20, 60):
+        d = partial_fraction_coeffs(k)
+        for y in (F(-1), F(-9, 4), F(-(10**6) - 1, 7), F(7, 3), 10**6 + F(1, 7)):
+            assert partial_fraction_eval(d, y) == reference_partial_fraction(d, y), (k, y)
 
 
 def test_rational_evaluations_reject_every_pole():

@@ -1,5 +1,6 @@
 """The verification-suite engine: pass/fail bookkeeping and JSON shape."""
 
+import dataclasses
 import inspect
 import json
 import re
@@ -96,15 +97,22 @@ def test_failures_sorted_by_case_id():
 def test_recurrence_reports_first_bad_row(monkeypatch):
     real = genfunc.gf_recurrence
 
-    def perturbed(k, order):
-        g = real(k, order)
+    def perturbed(k, order, below=None):
+        g = real(k, order, below)
         return BiSeries.from_terms([*g.terms(), (4, 5, 1)], order) if k == 2 else g
 
     monkeypatch.setattr(genfunc, "gf_recurrence", perturbed)
     out = verify.run_recurrence(max_k=3, order=6)
     assert out.cases_run == 3
+    # the recurrence side is one chain, so the wrong G_2 (an extra x^4 q^5)
+    # feeds G_3 (an extra x^5 q^(3 + 5 + 4*3)) and fails k = 3 as well
     assert out.failures == [
-        CaseFailure("recurrence k=2", "{x^4: {5: 4, 7: 2, 9: 1}}", "{x^4: {5: 5, 7: 2, 9: 1}}")
+        CaseFailure("recurrence k=2", "{x^4: {5: 4, 7: 2, 9: 1}}", "{x^4: {5: 5, 7: 2, 9: 1}}"),
+        CaseFailure(
+            "recurrence k=3",
+            "{x^5: {14: 9, 17: 6, 19: 3, 20: 4, 22: 2, 24: 1}}",
+            "{x^5: {14: 9, 17: 6, 19: 3, 20: 5, 22: 2, 24: 1}}",
+        ),
     ]
 
 
@@ -219,15 +227,40 @@ def _lemma2_mutant(real, index, delta):
     return mutant
 
 
+def _pf_mutant(real, k, m, field, delta):
+    """``real`` with the a_m (field "a_num") or b_m (field "b_num")
+    numerator of k's decomposition moved by delta."""
+
+    def mutant(kk):
+        decomp = real(kk)
+        if kk != k:
+            return decomp
+        nums = dict(getattr(decomp, field))
+        nums[m] += delta
+        return dataclasses.replace(decomp, **{field: nums})
+
+    return mutant
+
+
 # (kind, target, delta): "bell" moves the slope (field 0) or the const
 # (field 1) of BELL_FORM_4T[h]; "bracket" moves W_BRACKET[(i, j)]; "lemma2"
-# moves C_k (index 0) or d_index, for every k, of _lemma2_weights.
+# moves C_k (index 0) or d_index, for every k, of _lemma2_weights; "pf"
+# moves the numerator field of a_m or b_m in partial_fraction_coeffs(k).
 _MUTANTS = [
     (kind, target, delta)
     for kind, targets in [
         ("bell", [(h, field) for h in closedform.BELL_FORM_4T for field in (0, 1)]),
         ("bracket", list(closedform.W_BRACKET)),
         ("lemma2", range(6)),
+        (
+            "pf",
+            [
+                (k, m, field)
+                for k in range(1, 6)
+                for m in range(1, k + 1)
+                for field in ("a_num", "b_num")
+            ],
+        ),
     ]
     for target in targets
     for delta in (1, -1)
@@ -239,6 +272,8 @@ def _label(kind, target) -> str:
         return f"h{target[0]}-{('slope', 'const')[target[1]]}"
     if kind == "bracket":
         return f"x^{target[0]}e^{target[1]}x"
+    if kind == "pf":
+        return "{2}-k{0}-m{1}".format(*target)
     return f"d{target}" if target else "C"
 
 
@@ -252,6 +287,16 @@ def test_mutation_suites_pass_unmutated(tables):
     ids=[f"{kind}-{_label(kind, target)}{delta:+d}" for kind, target, delta in _MUTANTS],
 )
 def test_every_closed_form_constant_is_pinned(monkeypatch, tables, kind, target, delta):
+    if kind == "pf":
+        k, m, field = target
+        mutant = _pf_mutant(genfunc.partial_fraction_coeffs, k, m, field, delta)
+        monkeypatch.setattr(genfunc, "partial_fraction_coeffs", mutant)
+        failed = {f.id for f in _mutation_suites(tables)["propn"]().failures}
+        # the evaluation and, at k = 2, the spot checks read the same numerators
+        assert any(i.startswith(f"reconstruct k={k} ") for i in failed)
+        if k == 2:
+            assert f"spot {field[0]} k=2 m={m}" in failed
+        return
     if kind == "bell":
         h, field = target
         entry = list(closedform.BELL_FORM_4T[h])
