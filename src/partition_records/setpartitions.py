@@ -37,11 +37,26 @@ letter.
 
 ``enumerate_rgs`` walks length n and yields every word (or those with
 k blocks).  The histogram and the total walk the prefixes of length
-n - 1 and count each prefix's last letters in two classes instead of
-visiting them: a prefix with maximum t and swrec r has t extensions with
-swrec r (maximum t) and one with swrec r + n(t + 1) (maximum t + 1).  So
+n - 2 and count each prefix's last two letters in classes instead of
+visiting them.  Take a prefix with maximum t and swrec r.  Position
+n - 1 holds one of t non-records (swrec r, maximum t) or the record
+t + 1 (swrec r' = r + (n - 1)(t + 1), maximum t + 1); position n then
+splits each of those the same way, into u non-records and one record
+that adds n(u + 1), u being the maximum so far.  That gives four
+classes, as (count, swrec, maximum):
+
+    (t^2,   r,                t)
+    (t,     r + n(t + 1),     t + 1)
+    (t + 1, r',               t + 1)
+    (1,     r' + n(t + 2),    t + 2)
+
+and the total adds t(t + 1)(r + n) + (t + 2)(r' + n) per prefix.  So
 every prefix is walked and every word of length n is counted exactly
-once, by its prefix.
+once, by its prefix; n <= 1 has no prefix of length n - 2 and is
+answered directly.  The classes stop at two letters: counting three or
+more letters the same way would be a dynamic program over (maximum,
+swrec) in all but name, and this module is the oracle such a program
+should be checked against.
 """
 
 from __future__ import annotations
@@ -51,8 +66,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 Word = tuple[int, ...]
 
-# Full enumeration of P_12 is ~4.2M words; anything larger needs an
-# explicit opt-in via the cap argument.
+# P_12 holds ~4.2M words; its brute-force total walks only their B_10 =
+# 115,975 prefixes of length 10 and counts the last two letters.  Anything
+# larger needs an explicit opt-in via the cap argument.
 DEFAULT_ENUMERATION_CAP = 12
 
 
@@ -197,13 +213,18 @@ def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:
     hist: Counter[int] = Counter()
     if k is not None and k > n:
         return hist
-    if n == 0:
-        return Counter({0: 1})
-    for _, t, r in _walk(n - 1):
-        if t and (k is None or k == t):
-            hist[r] += t
-        if k is None or k == t + 1:
-            hist[r + n * (t + 1)] += 1
+    if n <= 1:
+        return Counter({n: 1})
+    for _, t, r in _walk(n - 2):
+        r1 = r + (n - 1) * (t + 1)
+        for count, s, top in (
+            (t * t, r, t),
+            (t, r + n * (t + 1), t + 1),
+            (t + 1, r1, t + 1),
+            (1, r1 + n * (t + 2), t + 2),
+        ):
+            if count and (k is None or k == top):
+                hist[s] += count
     return hist
 
 
@@ -212,9 +233,10 @@ def total_swrec_bruteforce(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     if n > cap:
         raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
     _check_size(n)
+    if n <= 1:
+        return n
     total = 0
-    if n == 0:
-        return total
-    for _, t, r in _walk(n - 1):
-        total += (t + 1) * (r + n)
+    for _, t, r in _walk(n - 2):
+        r1 = r + (n - 1) * (t + 1)
+        total += t * (t + 1) * (r + n) + (t + 2) * (r1 + n)
     return total

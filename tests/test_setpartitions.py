@@ -227,17 +227,29 @@ def test_malformed_blocks_rejected():
 # ---------------------------------------------------------------------------
 
 
+# Totals and histograms walk prefixes of length n - 2, so n = 0 and 1 are
+# answered without a walk and n = 2 walks the empty prefix (maximum 0,
+# whose t- and t^2-sized classes are empty).  By hand: P_2 = {11, 12} with
+# swrec 1, 5; P_3 = {111, 112, 121, 122, 123} with swrec 1, 7, 5, 5, 14.
+_SMALLEST_HISTOGRAMS = {
+    0: {},
+    1: {1: {1: 1}},
+    2: {1: {1: 1}, 2: {5: 1}},
+    3: {1: {1: 1}, 2: {5: 2, 7: 1}, 3: {14: 1}},
+}
+
+
 def test_swrec_histogram_examples():
-    assert dict(swrec_histogram(3, 2)) == {5: 2, 7: 1}
+    for n, by_k in _SMALLEST_HISTOGRAMS.items():
+        for k in range(1, n + 3):
+            assert dict(swrec_histogram(n, k)) == by_k.get(k, {}), (n, k)
     assert dict(swrec_histogram(2)) == {1: 1, 5: 1}
-    assert dict(swrec_histogram(1)) == {1: 1}  # empty prefix, maximum 0
+    assert dict(swrec_histogram(1)) == {1: 1}
     assert dict(swrec_histogram(0)) == {0: 1}
 
 
 def test_total_swrec_small():
-    assert total_swrec_bruteforce(0) == 0
-    assert total_swrec_bruteforce(2) == 6
-    assert total_swrec_bruteforce(3) == 32
+    assert [total_swrec_bruteforce(n) for n in range(4)] == [0, 1, 6, 32]
 
 
 def test_total_swrec_cap():
@@ -266,8 +278,9 @@ def test_total_swrec_matches_per_word_definition():
 
 
 def test_swrec_histogram_matches_per_word_definition():
-    for n in range(0, 9):
-        for k in [None, *range(1, n + 3)]:
+    for n in range(0, 11):
+        # every k through n = 8; at n = 9 and 10 the unrestricted histogram
+        for k in [None, *range(1, n + 3)] if n < 9 else [None]:
             expected = Counter(swrec(w) for w in enumerate_rgs(n, k))
             # as dicts: Counter equality would ignore a stored zero count
             assert dict(swrec_histogram(n, k)) == dict(expected), (n, k)

@@ -1,5 +1,7 @@
 """The verification-suite engine: pass/fail bookkeeping and JSON shape."""
 
+import __future__
+import ast
 import dataclasses
 import inspect
 import json
@@ -131,6 +133,28 @@ def test_eq1_renders_histograms(monkeypatch):
     assert out.failures == [
         CaseFailure("eq1 n=5 k=2", "{5: 8, 7: 4, 9: 2, 11: 1, 99: 1}", "{5: 8, 7: 4, 9: 2, 11: 1}")
     ]
+
+
+def test_lemma2_reports_the_cell_of_one_wrong_word(monkeypatch):
+    real = setpartitions.swrec
+    monkeypatch.setattr(setpartitions, "swrec", lambda w: real(w) + (tuple(w) == (1, 2, 1, 3)))
+    out = verify.run_lemma2(max_k=3, order=8, max_n=5)
+    assert out.cases_run == 3 + 15
+    # P_{4,3} = {1123, 1213, 1223, 1231, 1232, 1233}: swrec 19 + 17 * 2 + 14 * 3 = 95
+    assert out.failures == [CaseFailure("coeff n=4 k=3", "96", "95")]
+
+
+def test_lemma2_walks_each_n_once(monkeypatch):
+    real = setpartitions.enumerate_rgs
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(setpartitions, "enumerate_rgs", recording)
+    assert verify.run_lemma2(max_k=3, order=8, max_n=5).passed
+    assert calls == [((n,), {}) for n in range(1, 6)]
 
 
 def test_thm2_reports_a_non_integral_total(monkeypatch, tables):
@@ -312,6 +336,98 @@ def test_every_closed_form_constant_is_pinned(monkeypatch, tables, kind, target,
     if kind == "lemma2":
         # both suites that read the weights catch each mutant on their own
         assert {"lemma2", "propn"} <= killed
+
+
+# ---------------------------------------------------------------------------
+# Mutants of the enumeration counts: the two-letter classes of
+# total_swrec_bruteforce and swrec_histogram are rewritten in memory, one
+# integer literal moved by +-1 or one + / - swapped at a time; thm3 or eq1
+# must then fail a case or raise.
+# ---------------------------------------------------------------------------
+
+
+class _Mutate(ast.NodeTransformer):
+    """Moves the index-th integer literal by delta (kind "int"), or swaps
+    the index-th + or - (kind "op"), counting sites in visiting order;
+    ``seen`` ends as the number of sites of that kind."""
+
+    def __init__(self, kind, index, delta):
+        self.kind, self.index, self.delta, self.seen = kind, index, delta, 0
+
+    def _hit(self):
+        self.seen += 1
+        return self.seen - 1 == self.index
+
+    def visit_Constant(self, node):
+        if self.kind == "int" and type(node.value) is int and self._hit():
+            return ast.copy_location(ast.Constant(node.value + self.delta), node)
+        return node
+
+    def _swap(self, node):
+        self.generic_visit(node)
+        if self.kind == "op" and isinstance(node.op, (ast.Add, ast.Sub)) and self._hit():
+            node.op = ast.Sub() if isinstance(node.op, ast.Add) else ast.Add()
+        return node
+
+    visit_BinOp = visit_AugAssign = _swap
+
+
+_COUNTING = ("total_swrec_bruteforce", "swrec_histogram")
+
+
+def _rewrite(name, kind, index, delta):
+    """The module-level function ``name`` of setpartitions, rewritten by
+    _Mutate, and the mutator (to read ``seen``)."""
+    tree = ast.parse(inspect.getsource(getattr(setpartitions, name)))
+    mutator = _Mutate(kind, index, delta)
+    tree = ast.fix_missing_locations(mutator.visit(tree))
+    namespace = dict(vars(setpartitions))
+    flags = __future__.annotations.compiler_flag
+    exec(compile(tree, setpartitions.__file__, "exec", flags=flags, dont_inherit=True), namespace)
+    return namespace[name], mutator
+
+
+_COUNT_MUTANTS = [
+    (name, kind, index, delta)
+    for name in _COUNTING
+    for kind, deltas in (("int", (1, -1)), ("op", (0,)))
+    for index in range(_rewrite(name, kind, -1, 0)[1].seen)
+    for delta in deltas
+]
+
+# Mutants that cannot change any answer, each with its proof; empty today.
+_EQUIVALENT_COUNT_MUTANTS: dict[tuple, str] = {}
+
+
+def _count_mutant_id(name, kind, index, delta):
+    return f"{name}-{kind}{index}" + (f"{delta:+d}" if kind == "int" else "")
+
+
+def test_count_mutant_sites_cover_both_functions():
+    sites = {(name, kind) for name, kind, _, _ in _COUNT_MUTANTS}
+    assert sites == {(name, kind) for name in _COUNTING for kind in ("int", "op")}
+    assert set(_EQUIVALENT_COUNT_MUTANTS) <= set(_COUNT_MUTANTS)
+    # the unmutated rewrite is the function itself, case for case
+    for name in _COUNTING:
+        rewritten, _ = _rewrite(name, "int", -1, 0)
+        for n in range(8):
+            assert rewritten(n) == getattr(setpartitions, name)(n)
+
+
+@pytest.mark.parametrize(
+    "name, kind, index, delta",
+    _COUNT_MUTANTS,
+    ids=[_count_mutant_id(*m) for m in _COUNT_MUTANTS],
+)
+def test_every_enumeration_count_is_pinned(monkeypatch, tables, name, kind, index, delta):
+    if (name, kind, index, delta) in _EQUIVALENT_COUNT_MUTANTS:
+        pytest.skip(_EQUIVALENT_COUNT_MUTANTS[name, kind, index, delta])
+    monkeypatch.setattr(setpartitions, name, _rewrite(name, kind, index, delta)[0])
+    try:
+        passed = verify.run_thm3(max_n=8, tables=tables).passed and verify.run_eq1(max_n=7).passed
+    except Exception:  # a mutant that raises is caught as well
+        passed = False
+    assert not passed
 
 
 # ---------------------------------------------------------------------------
