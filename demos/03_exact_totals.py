@@ -29,7 +29,7 @@ for n in range(max_n + 1):
     print(f"{n:>2} {brute:>12} {formula:>12} {str(egf):>12}{flag}")
 
 print("\nThe formula alone reaches far beyond enumeration range:")
-big = build_tables(203, stirling_max_n=0)
+big = build_tables(203)
 for n in (50, 100, 200):
     total = total_swrec_formula(n, big)
     print(f"  n={n}: {len(str(total))}-digit total, leading digits {str(total)[:12]}...")

@@ -12,7 +12,7 @@ import mpmath as mp
 from partition_records import asymptotic_report, build_tables
 
 ns = [10, 50, 100, 200, 400, 800]
-tables = build_tables(max(ns) + 3, stirling_max_n=0)
+tables = build_tables(max(ns) + 3)
 
 print(f"{'n':>4} {'r':>8} {'estimate':>12} {'exact/est':>10} {'shift err h=1':>14}")
 for rep in asymptotic_report(ns, tables):

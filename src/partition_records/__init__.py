@@ -8,8 +8,6 @@ from .asymptotics import (
     total_swrec_estimate,
 )
 from .closedform import (
-    BellStirlingTables,
-    bell_egf,
     bell_numbers,
     build_tables,
     egf_w,
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticReport",
-    "BellStirlingTables",
     "BiSeries",
     "DEFAULT_ENUMERATION_CAP",
     "PartialFractionDecomposition",
@@ -54,7 +51,6 @@ __all__ = [
     "UniSeries",
     "VerificationOutcome",
     "asymptotic_report",
-    "bell_egf",
     "bell_numbers",
     "bell_shift_error",
     "blocks_from_rgs",

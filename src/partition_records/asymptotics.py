@@ -29,7 +29,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .closedform import BellStirlingTables, total_swrec_formula
+from .closedform import total_swrec_formula
 
 # solve_r stops at relative residual |r e^r - t| / t <= _TOL, and gives up
 # after _NEWTON_STEPS Newton steps.
@@ -61,17 +61,17 @@ def solve_r(t: float) -> float:
     raise ArithmeticError(f"solve_r({t!r}) did not converge in {_NEWTON_STEPS} steps")
 
 
-def total_swrec_estimate(n: int, tables: BellStirlingTables) -> mp.mpf:
+def total_swrec_estimate(n: int, tables: tuple[int, ...]) -> mp.mpf:
     """B_n * n^3/r^3 * (1 + r/n), exact-integer B_n combined in mpmath."""
     if n < 1:
         raise ValueError("n must be >= 1")
     r = solve_r(n + 1.0)
     with mp.workdps(30):
         rr = mp.mpf(r)
-        return mp.mpf(tables.bell_number(n)) * mp.mpf(n) ** 3 / rr**3 * (1 + rr / n)
+        return mp.mpf(tables[n]) * mp.mpf(n) ** 3 / rr**3 * (1 + rr / n)
 
 
-def bell_shift_error(n: int, h: int, tables: BellStirlingTables) -> float:
+def bell_shift_error(n: int, h: int, tables: tuple[int, ...]) -> float:
     """Relative error | B_{n+h} * n! * r^h / (B_n * (n+h)!) - 1 |.
 
     Computed in log space: math.log takes exact big integers directly, so
@@ -83,8 +83,8 @@ def bell_shift_error(n: int, h: int, tables: BellStirlingTables) -> float:
         return 0.0
     r = solve_r(n + 1.0)
     log_ratio = (
-        math.log(tables.bell_number(n + h))
-        - math.log(tables.bell_number(n))
+        math.log(tables[n + h])
+        - math.log(tables[n])
         + h * math.log(r)
         - sum(math.log(n + j) for j in range(1, h + 1))
     )
@@ -113,8 +113,8 @@ class AsymptoticReport:
         }
 
 
-def asymptotic_report(ns: Sequence[int], tables: BellStirlingTables) -> list[AsymptoticReport]:
-    """Reports for each n in ``ns`` (tables must cover max(ns) + 3)."""
+def asymptotic_report(ns: Sequence[int], tables: tuple[int, ...]) -> list[AsymptoticReport]:
+    """Reports for each n in ``ns`` (tables must cover max(ns) + BELL_FORM_REACH)."""
     out: list[AsymptoticReport] = []
     for n in ns:
         r = solve_r(n + 1.0)

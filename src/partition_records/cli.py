@@ -28,7 +28,13 @@ from typing import Sequence
 from . import verify as verify_mod
 from .verify import check_range
 from .asymptotics import asymptotic_report
-from .closedform import FORMULA_CAP, build_tables, egf_w, total_swrec_formula
+from .closedform import (
+    BELL_FORM_REACH,
+    FORMULA_CAP,
+    build_tables,
+    egf_w,
+    total_swrec_formula,
+)
 from .genfunc import GF_MAX_K, GF_MAX_N, gf_product
 from .setpartitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -39,8 +45,9 @@ from .setpartitions import (
     total_swrec_bruteforce,
 )
 
-# The cap of every n of ``asymptotic --ns`` (Bell tables to n + 3) and of
-# how many n it lists (one report each), the one size not bounded elsewhere.
+# The cap of every n of ``asymptotic --ns`` (Bell tables to n +
+# BELL_FORM_REACH) and of how many n it lists (one report each), the one
+# size not bounded elsewhere.
 ASYMPTOTIC_MAX_N = 1000
 
 _STATS = {"swrec": swrec, "srec": srec, "rec": rec_count}
@@ -86,7 +93,7 @@ def _cmd_total(args: argparse.Namespace) -> int:
         print(total_swrec_bruteforce(args.n))
         return 0
     check_range("--n", args.n, 0, FORMULA_CAP, "formula")
-    tables = build_tables(args.n + 3, stirling_max_n=0)
+    tables = build_tables(args.n + BELL_FORM_REACH)
     if args.method == "formula":
         print(total_swrec_formula(args.n, tables))
     else:  # egf
@@ -146,7 +153,7 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         ) from None
     check_range("--ns", max(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
     check_range("--ns count", len(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
-    tables = build_tables(max(ns) + 3, stirling_max_n=0)
+    tables = build_tables(max(ns) + BELL_FORM_REACH)
     reports = asymptotic_report(ns, tables)
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     return 0

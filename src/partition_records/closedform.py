@@ -1,4 +1,4 @@
-"""Bell and Stirling number tables and the closed-form weighted-record totals.
+"""Bell number tables and the closed-form weighted-record totals.
 
 The total T(n) of the swrec statistic over all partitions of [n] has the
 exact Bell-number form (Theorem 3)
@@ -15,9 +15,9 @@ Each is typed once, as the table ``BELL_FORM_4T`` or ``W_BRACKET`` that
 every evaluation reads.  Neither is derived from the other, so the
 ``thm2`` suite, which compares the two, stays a check.
 
-This module builds exact integer tables of B_n and S(n,k) via the
-triangular recurrences (``build_tables`` is the one way to get them;
-tables are rebuilt on every call and never read from a file), constructs
+This module builds the exact integer table of B_n via the Bell triangle
+(``build_tables`` is the one way to get it; a table is a plain tuple,
+rebuilt on every call and never read from a file), constructs
 W(x) with exact rational series arithmetic, and evaluates T(n) in
 integers.  Both routes are independent of the enumeration oracle, which
 the tests compare them against.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .powerseries import UniSeries
@@ -35,6 +34,9 @@ from .powerseries import UniSeries
 
 # 4 T(n) = sum over h of (slope * n + const) * B_{n+h}: h -> (slope, const).
 BELL_FORM_4T: dict[int, tuple[int, int]] = {3: (0, 3), 2: (0, -3), 1: (-4, -7), 0: (-2, -2)}
+
+# T(n) reads B_n .. B_{n + BELL_FORM_REACH}, so its table must reach that far.
+BELL_FORM_REACH = max(BELL_FORM_4T)
 
 # W(x) = e^(e^x - 1) * sum of c * x^i * e^{jx}: (i, j) -> c.
 W_BRACKET: dict[tuple[int, int], Fraction] = {
@@ -63,67 +65,14 @@ def bell_numbers(max_n: int) -> list[int]:
     return bell
 
 
-def stirling_triangle(max_n: int) -> list[list[int]]:
-    """Rows S(n, 0..n) for n = 0 .. max_n, S of the second kind.
+def build_tables(max_n: int, stirling_max_n: int = 0) -> tuple[int, ...]:
+    """The Bell table B_0..B_max_n that every closed form reads.
 
-    S(n,k) = k*S(n-1,k) + S(n-1,k-1), S(0,0) = 1.
-    """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    rows = [[1]]
-    for n in range(1, max_n + 1):
-        prev = rows[-1]
-        row = [0] * (n + 1)
-        for kk in range(1, n + 1):
-            above = prev[kk] if kk < n else 0
-            row[kk] = kk * above + prev[kk - 1]
-        rows.append(row)
-    return rows
-
-
-@dataclass(frozen=True)
-class BellStirlingTables:
-    """Immutable exact tables of Bell numbers and Stirling numbers (2nd kind).
-
-    The Stirling triangle may be capped lower than the Bell sequence: the
-    triangle needs O(max_n^2) big integers, which is wasteful when only
-    large Bell numbers are wanted (asymptotics at n ~ 1000).
-    """
-
-    bell: tuple[int, ...]
-    stirling: tuple[tuple[int, ...], ...]
-
-    @property
-    def max_n(self) -> int:
-        return len(self.bell) - 1
-
-    @property
-    def stirling_max_n(self) -> int:
-        return len(self.stirling) - 1
-
-    def bell_number(self, n: int) -> int:
-        if not 0 <= n <= self.max_n:
-            raise ValueError(f"B_{n} not tabulated (max_n={self.max_n})")
-        return self.bell[n]
-
-    def stirling_number(self, n: int, k: int) -> int:
-        if not 0 <= n <= self.stirling_max_n:
-            raise ValueError(f"S({n},k) not tabulated (stirling_max_n={self.stirling_max_n})")
-        if not 0 <= k <= n:
-            return 0
-        return self.stirling[n][k]
-
-
-def build_tables(max_n: int, stirling_max_n: int | None = None) -> BellStirlingTables:
-    """Exact tables with B_0..B_max_n and Stirling rows 0..stirling_max_n
-    (defaulting to max_n)."""
-    s_max = max_n if stirling_max_n is None else stirling_max_n
-    if s_max > max_n:
-        raise ValueError("stirling_max_n cannot exceed max_n")
-    return BellStirlingTables(
-        bell=tuple(bell_numbers(max_n)),
-        stirling=tuple(tuple(r) for r in stirling_triangle(s_max)),
-    )
+    ``stirling_max_n`` is accepted only as 0, the value its remaining
+    callers pass: a table holds no Stirling rows."""
+    if stirling_max_n != 0:
+        raise ValueError("stirling_max_n must be 0: Bell tables hold no Stirling rows")
+    return tuple(bell_numbers(max_n))
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +80,12 @@ def build_tables(max_n: int, stirling_max_n: int | None = None) -> BellStirlingT
 # ---------------------------------------------------------------------------
 
 
-def bell_egf(order: int, tables: BellStirlingTables) -> UniSeries:
-    """sum_n B_n x^n / n!, built from the integer table (not by series exp)."""
-    if tables.max_n < order:
-        raise ValueError(f"tables cover n <= {tables.max_n}, need {order}")
-    return UniSeries([Fraction(tables.bell[n], math.factorial(n)) for n in range(order + 1)])
-
-
-def egf_w(order: int, tables: BellStirlingTables) -> UniSeries:
+def egf_w(order: int, tables: tuple[int, ...]) -> UniSeries:
     """The aggregate EGF W(x) of the module docstring, built from
     ``W_BRACKET``: its coefficients n![x^n] are the totals of swrec over
     all partitions of [n]."""
-    if tables.max_n < order + 3:
-        raise ValueError(f"tables must cover order+3 = {order + 3}, have {tables.max_n}")
+    if len(tables) <= order + 3:
+        raise ValueError(f"tables must cover order+3 = {order + 3}, have {len(tables) - 1}")
     # e^{jx} = exp of [0, j, 0, ..., 0] (order + 1 terms) for each j of the
     # bracket; e^{0x} = 1 needs no series exp
     exps = {0: (1,) + (0,) * order}
@@ -154,10 +96,12 @@ def egf_w(order: int, tables: BellStirlingTables) -> UniSeries:
         sum(c * exps[j][n - i] for (i, j), c in W_BRACKET.items() if i <= n)
         for n in range(order + 1)
     ]
-    return bell_egf(order, tables) * UniSeries(bracket)
+    # e^(e^x - 1) = sum of B_n x^n / n!, from the table
+    bell = UniSeries([Fraction(tables[n], math.factorial(n)) for n in range(order + 1)])
+    return bell * UniSeries(bracket)
 
 
-def total_swrec_formula(n: int, tables: BellStirlingTables) -> int:
+def total_swrec_formula(n: int, tables: tuple[int, ...]) -> int:
     """Exact total of swrec over all partitions of [n], from Bell numbers.
 
     Evaluates 4T(n) in integers from ``BELL_FORM_4T``.  4T is always
@@ -166,11 +110,10 @@ def total_swrec_formula(n: int, tables: BellStirlingTables) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    top = max(BELL_FORM_4T)
-    if tables.max_n < n + top:
-        raise ValueError(f"tables must cover n+{top} = {n + top}, have {tables.max_n}")
-    b = tables.bell
-    four_t = sum((slope * n + const) * b[n + h] for h, (slope, const) in BELL_FORM_4T.items())
+    reach = n + BELL_FORM_REACH
+    if len(tables) <= reach:
+        raise ValueError(f"tables must cover n+{BELL_FORM_REACH} = {reach}, have {len(tables) - 1}")
+    four_t = sum((slope * n + const) * tables[n + h] for h, (slope, const) in BELL_FORM_4T.items())
     if four_t % 4 != 0:
         raise ArithmeticError(f"total for n={n} is not an integer: {four_t}/4")
     return four_t // 4

@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import closedform, genfunc, setpartitions
 from .asymptotics import asymptotic_report, bell_shift_error
-from .closedform import FORMULA_CAP, BellStirlingTables, build_tables
+from .closedform import BELL_FORM_REACH, FORMULA_CAP, build_tables
 from .genfunc import GF_MAX_K, GF_MAX_N
 from .setpartitions import DEFAULT_ENUMERATION_CAP
 
@@ -256,7 +256,7 @@ def run_propn(
 
 
 def run_thm2(
-    max_n: int = DEFAULT_FORMULA_MAX_N, tables: BellStirlingTables | None = None
+    max_n: int = DEFAULT_FORMULA_MAX_N, tables: tuple[int, ...] | None = None
 ) -> VerificationOutcome:
     """EGF coefficients vs. (a) sums of per-block-count totals for
     n <= DEFAULT_SUM_MAX_N, (b) the exact Bell-number formula for
@@ -270,7 +270,7 @@ def run_thm2(
     rec = _Recorder("thm2", max_n=max_n)
     order = max(DEFAULT_SUM_MAX_N, max_n)
     if tables is None:
-        tables = build_tables(max(order, DEFAULT_DENOM_MAX_N) + 3, stirling_max_n=0)
+        tables = build_tables(max(order, DEFAULT_DENOM_MAX_N) + BELL_FORM_REACH)
     w = closedform.egf_w(order, tables)
     per_k = [
         genfunc.total_swrec_series(k, DEFAULT_SUM_MAX_N) for k in range(1, DEFAULT_SUM_MAX_N + 1)
@@ -292,12 +292,12 @@ def run_thm2(
 
 
 def run_thm3(
-    max_n: int = DEFAULT_BRUTE_MAX_N, tables: BellStirlingTables | None = None
+    max_n: int = DEFAULT_BRUTE_MAX_N, tables: tuple[int, ...] | None = None
 ) -> VerificationOutcome:
     """Bell-number formula vs. brute-force enumeration, n = 0..max_n."""
     rec = _Recorder("thm3", max_n=max_n)
     if tables is None:
-        tables = build_tables(max_n + 3, stirling_max_n=0)
+        tables = build_tables(max_n + BELL_FORM_REACH)
     for n in range(max_n + 1):
         rec.check(
             f"thm3 n={n}",
@@ -307,12 +307,13 @@ def run_thm3(
     return rec.finish()
 
 
-def run_bellshift(tables: BellStirlingTables | None = None) -> VerificationOutcome:
+def run_bellshift(tables: tuple[int, ...] | None = None) -> VerificationOutcome:
     """Shift-expansion relative errors at each n of DEFAULT_BELLSHIFT_NS:
     bounded by 3*log(n)/n and strictly decreasing in n for each shift h."""
     rec = _Recorder("bellshift")
     if tables is None:
-        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3, stirling_max_n=0)
+        # h = 3 is the largest shift below.
+        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3)
     errors: dict[int, list[tuple[int, float]]] = {1: [], 2: [], 3: []}
     for n in DEFAULT_BELLSHIFT_NS:
         for h in (1, 2, 3):
@@ -333,13 +334,13 @@ def run_bellshift(tables: BellStirlingTables | None = None) -> VerificationOutco
     return rec.finish()
 
 
-def run_asym(tables: BellStirlingTables | None = None) -> VerificationOutcome:
+def run_asym(tables: tuple[int, ...] | None = None) -> VerificationOutcome:
     """Exact/estimate ratios at each n of DEFAULT_ASYM_NS stay inside
     (0.2, 1.5); the ratio sequence and the unresolved leading-constant
     question ride along as diagnostics."""
     rec = _Recorder("asym")
     if tables is None:
-        tables = build_tables(max(DEFAULT_ASYM_NS) + 3, stirling_max_n=0)
+        tables = build_tables(max(DEFAULT_ASYM_NS) + BELL_FORM_REACH)
     reports = asymptotic_report(DEFAULT_ASYM_NS, tables)
     for rep in reports:
         rec.check_that(
@@ -356,15 +357,16 @@ def run_asym(tables: BellStirlingTables | None = None) -> VerificationOutcome:
     return rec.finish(diagnostics)
 
 
-def run_all(tables: BellStirlingTables | None = None) -> VerificationOutcome:
+def run_all(tables: tuple[int, ...] | None = None) -> VerificationOutcome:
     """Every other suite of ``SUITES`` at its default caps, merged into one
     outcome: the cases summed, each failure's id prefixed with its suite,
     and each suite's diagnostics under its name.  One Bell table, built
     here unless given, serves every suite of ``_TABLE_SUITES``."""
     rec = _Recorder("all")
     if tables is None:
-        # bellshift's n = 1000 is the largest default n of any suite.
-        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3, stirling_max_n=0)
+        # bellshift's n = 1000 is the largest default n of any suite, and
+        # its largest shift h = 3.
+        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3)
     diagnostics: dict = {}
     for suite, run in SUITES.items():
         if suite == "all":

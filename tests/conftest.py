@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from partition_records import build_tables
@@ -5,6 +7,25 @@ from partition_records import build_tables
 
 @pytest.fixture(scope="session")
 def tables():
-    """One shared exact table: Bell numbers through 1003 (needed by the
-    shift-expansion checks at n = 1000), Stirling rows through 30."""
-    return build_tables(1003, stirling_max_n=30)
+    """One shared exact Bell table, B_0 through B_1003 (the shift-expansion
+    checks at n = 1000 read B_{n+3})."""
+    return build_tables(1003)
+
+
+@functools.cache
+def _stirling2(n: int, k: int) -> int:
+    """S(n, k) of the second kind by the direct recursion
+    S(n, k) = k S(n-1, k) + S(n-1, k-1), S(0, 0) = 1."""
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+@pytest.fixture(scope="session")
+def stirling2():
+    """The tests' one Stirling-number oracle, independent of every layer
+    of the package: the block counts of enumeration and the Bell table's
+    row sums are checked against it."""
+    return _stirling2

@@ -16,7 +16,6 @@ import pytest
 
 from partition_records import (
     UniSeries,
-    bell_egf,
     cli,
     egf_w,
     enumerate_rgs,
@@ -142,20 +141,20 @@ def test_asymptotic_ratio_diagnostics(tables):
     )
 
 
-def test_infrastructure(tables, block_counts_by_n, monkeypatch, capsys):
-    # series exponential reproduces the triangle-built Bell EGF
+def test_infrastructure(tables, stirling2, block_counts_by_n, monkeypatch, capsys):
+    # series exponential reproduces the Bell EGF built from the table
     inner = UniSeries([0] + [Fraction(1, math.factorial(n)) for n in range(1, 31)])
-    assert inner.exp() == bell_egf(30, tables)
+    assert inner.exp() == UniSeries([Fraction(tables[n], math.factorial(n)) for n in range(31)])
 
     # stream counts match B_n and S(n, k) for n <= 12
     for n in range(13):
         counts = block_counts_by_n[n]
-        assert sum(counts.values()) == tables.bell_number(n), n
+        assert sum(counts.values()) == tables[n], n
         for k in range(1, n + 1):
-            assert counts[k] == tables.stirling_number(n, k), (n, k)
+            assert counts[k] == stirling2(n, k), (n, k)
     for n in range(10):  # the k-filtered stream itself, per cell
         for k in range(1, n + 1):
-            assert sum(1 for _ in enumerate_rgs(n, k)) == tables.stirling_number(n, k)
+            assert sum(1 for _ in enumerate_rgs(n, k)) == stirling2(n, k)
 
     # CLI determinism: identical flags, byte-identical output
     args = [sys.executable, "-m", "partition_records", "gf", "--k", "2", "--max-n", "8"]

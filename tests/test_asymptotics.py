@@ -8,6 +8,7 @@ import pytest
 from partition_records import (
     asymptotic_report,
     bell_shift_error,
+    build_tables,
     solve_r,
     total_swrec_estimate,
 )
@@ -71,7 +72,7 @@ def test_solve_r_overflow_is_an_error_not_nan():
 
 def test_estimate_n10(tables):
     r = bisect_root(11.0)
-    expected = tables.bell_number(10) * 1000.0 / r**3 * (1 + r / 10)
+    expected = tables[10] * 1000.0 / r**3 * (1 + r / 10)
     got = total_swrec_estimate(10, tables)
     assert abs(float(got) - expected) / expected < 1e-9
 
@@ -86,6 +87,23 @@ def test_estimate_survives_huge_bell(tables):
 def test_estimate_rejects_n0(tables):
     with pytest.raises(ValueError):
         total_swrec_estimate(0, tables)
+
+
+def test_negative_n_reads_no_table_entry_from_the_end(tables):
+    # a bare tuple reads tables[-1] silently: none of these may return a number
+    with pytest.raises(ValueError):
+        total_swrec_estimate(-1, tables)
+    with pytest.raises(ValueError):
+        bell_shift_error(-1, 1, tables)
+    with pytest.raises(ValueError):
+        bell_shift_error(-5, 2, tables)
+
+
+def test_bell_shift_needs_the_shifted_entry():
+    one_short = build_tables(12)  # n = 10, h = 3 reads B_13
+    assert bell_shift_error(10, 2, one_short) > 0
+    with pytest.raises(IndexError):
+        bell_shift_error(10, 3, one_short)
 
 
 def test_ratio_n10(tables):

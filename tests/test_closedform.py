@@ -1,4 +1,4 @@
-"""Bell/Stirling tables, the aggregate EGF, and the exact total formula."""
+"""The Bell table, the aggregate EGF, and the exact total formula."""
 
 import math
 from collections import defaultdict
@@ -7,9 +7,6 @@ from fractions import Fraction
 import pytest
 
 from partition_records import (
-    BellStirlingTables,
-    UniSeries,
-    bell_egf,
     bell_numbers,
     build_tables,
     egf_w,
@@ -27,41 +24,28 @@ def test_bell_small_values():
 def test_bell_binomial_recurrence(tables):
     # B_{n+1} = sum_j C(n,j) B_j, an independent identity on the table
     for n in range(20):
-        assert tables.bell_number(n + 1) == sum(
-            math.comb(n, j) * tables.bell_number(j) for j in range(n + 1)
-        )
+        assert tables[n + 1] == sum(math.comb(n, j) * tables[j] for j in range(n + 1))
 
 
-def test_stirling_values(tables):
-    assert tables.stirling_number(4, 2) == 7
-    assert tables.stirling_number(4, 2) == sum(1 for _ in enumerate_rgs(4, 2))
+def test_stirling_values(stirling2):
+    assert stirling2(4, 2) == 7
+    assert stirling2(4, 2) == sum(1 for _ in enumerate_rgs(4, 2))
     for n in range(1, 20):
-        assert tables.stirling_number(n, n) == 1
-        assert tables.stirling_number(n, 1) == 1
+        assert stirling2(n, n) == 1
+        assert stirling2(n, 1) == 1
 
 
-def test_bell_is_row_sum_of_stirling(tables):
-    for n in range(tables.stirling_max_n + 1):
-        assert tables.bell_number(n) == sum(
-            tables.stirling_number(n, k) for k in range(n + 1)
-        )
+def test_bell_is_row_sum_of_stirling(tables, stirling2):
+    for n in range(31):
+        assert tables[n] == sum(stirling2(n, k) for k in range(n + 1))
 
 
 def test_build_tables_caps():
-    t = build_tables(50, stirling_max_n=10)
-    assert t.max_n == 50 and t.stirling_max_n == 10
+    # the one keyword call shape left: stirling_max_n=0, and nothing else
+    assert build_tables(50, stirling_max_n=0) == build_tables(50)
+    assert len(build_tables(50)) == 51
     with pytest.raises(ValueError):
-        t.stirling_number(11, 2)
-    with pytest.raises(ValueError):
-        t.bell_number(51)
-    with pytest.raises(ValueError):
-        build_tables(5, stirling_max_n=6)
-
-
-def test_bell_egf_matches_series_exponential(tables):
-    order = 30
-    inner = UniSeries([0] + [Fraction(1, math.factorial(n)) for n in range(1, order + 1)])
-    assert inner.exp() == bell_egf(order, tables)
+        build_tables(50, stirling_max_n=6)
 
 
 def test_egf_w_small_coefficients(tables):
@@ -96,12 +80,11 @@ def test_total_formula_is_always_integral(tables):
 
 def test_total_formula_matches_rational_form(tables):
     # The integer evaluation against the paper's rational form.
-    b = tables.bell
-    for n in range(tables.max_n - 2):
+    for n in range(len(tables) - 3):
         expected = (
-            Fraction(3, 4) * (b[n + 3] - b[n + 2])
-            - (n + Fraction(7, 4)) * b[n + 1]
-            - Fraction(n + 1, 2) * b[n]
+            Fraction(3, 4) * (tables[n + 3] - tables[n + 2])
+            - (n + Fraction(7, 4)) * tables[n + 1]
+            - Fraction(n + 1, 2) * tables[n]
         )
         assert total_swrec_formula(n, tables) == expected
 
@@ -109,15 +92,18 @@ def test_total_formula_matches_rational_form(tables):
 def test_total_formula_rejects_corrupt_tables():
     bell = list(bell_numbers(12))
     bell[9] += 1  # 4T moves by 3: not a multiple of 4 at n = 6
-    corrupt = BellStirlingTables(bell=tuple(bell), stirling=((1,),))
+    corrupt = tuple(bell)
     with pytest.raises(ArithmeticError, match="n=6 is not an integer"):
         total_swrec_formula(6, corrupt)
 
 
-def test_total_formula_needs_tables():
-    small = build_tables(4)
-    with pytest.raises(ValueError):
+def test_total_formula_needs_tables(tables):
+    small = build_tables(4)  # one entry short: n = 2 reads B_5
+    with pytest.raises(ValueError, match="tables must cover n\\+3 = 5, have 4"):
         total_swrec_formula(2, small)
+    # a bare tuple would read tables[-1] here
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        total_swrec_formula(-1, tables)
 
 
 # ---------------------------------------------------------------------------
