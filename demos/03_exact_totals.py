@@ -15,9 +15,10 @@ from partition_records import (
     total_swrec_bruteforce,
     total_swrec_formula,
 )
+from partition_records.closedform import BELL_FORM_REACH
 
 max_n = 10
-tables = build_tables(max_n + 3)
+tables = build_tables(max_n + BELL_FORM_REACH)
 w = egf_w(max_n, tables)
 
 print(f"{'n':>2} {'brute force':>12} {'Bell formula':>12} {'EGF coeff':>12}")
@@ -29,7 +30,8 @@ for n in range(max_n + 1):
     print(f"{n:>2} {brute:>12} {formula:>12} {str(egf):>12}{flag}")
 
 print("\nThe formula alone reaches far beyond enumeration range:")
-big = build_tables(203)
-for n in (50, 100, 200):
+big_ns = (50, 100, 200)
+big = build_tables(max(big_ns) + BELL_FORM_REACH)
+for n in big_ns:
     total = total_swrec_formula(n, big)
     print(f"  n={n}: {len(str(total))}-digit total, leading digits {str(total)[:12]}...")

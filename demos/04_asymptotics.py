@@ -10,9 +10,10 @@ exact Bell-number form.  The shift-expansion errors shrink like log(n)/n.
 import mpmath as mp
 
 from partition_records import asymptotic_report, build_tables
+from partition_records.asymptotics import REPORT_REACH
 
 ns = [10, 50, 100, 200, 400, 800]
-tables = build_tables(max(ns) + 3)
+tables = build_tables(max(ns) + REPORT_REACH)
 
 print(f"{'n':>4} {'r':>8} {'estimate':>12} {'exact/est':>10} {'shift err h=1':>14}")
 for rep in asymptotic_report(ns, tables):

@@ -9,6 +9,9 @@ is the stated large-n approximation of the total.  Supporting material:
 the shift expansion B_{n+h} ~ B_n (n+h)!/(n! r^h), whose relative error
 is O(log n / n) for small h.
 
+Each reader refuses a table short of what it reads (the estimate B_n, a
+shift error B_{n+h}) with ``closedform.require_table``'s ValueError.
+
 Bell numbers overflow double precision near n ~ 220, so estimates are
 assembled in mpmath (arbitrary exponent range); the solver itself works
 in ordinary floats since r stays small.
@@ -29,7 +32,12 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .closedform import total_swrec_formula
+from .closedform import BELL_FORM_REACH, require_table, total_swrec_formula
+
+# A report at n gives the shift-expansion error of B_{n+h} for each h of
+# BELL_SHIFTS, and reads B_n .. B_{n + REPORT_REACH} in all.
+BELL_SHIFTS = (1, 2, 3)
+REPORT_REACH = max(BELL_FORM_REACH, *BELL_SHIFTS)
 
 # solve_r stops at relative residual |r e^r - t| / t <= _TOL, and gives up
 # after _NEWTON_STEPS Newton steps.
@@ -65,6 +73,7 @@ def total_swrec_estimate(n: int, tables: tuple[int, ...]) -> mp.mpf:
     """B_n * n^3/r^3 * (1 + r/n), exact-integer B_n combined in mpmath."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    require_table(tables, n, "n")
     r = solve_r(n + 1.0)
     with mp.workdps(30):
         rr = mp.mpf(r)
@@ -79,6 +88,7 @@ def bell_shift_error(n: int, h: int, tables: tuple[int, ...]) -> float:
     """
     if h < 0:
         raise ValueError("h must be >= 0")
+    require_table(tables, n + h, f"n+{h}")
     if h == 0:
         return 0.0
     r = solve_r(n + 1.0)
@@ -100,7 +110,7 @@ class AsymptoticReport:
     exact_total: int
     estimate: mp.mpf
     ratio: float  # exact_total / estimate
-    bell_shift_errors: dict[int, float]  # h in {1, 2, 3}
+    bell_shift_errors: dict[int, float]  # h in BELL_SHIFTS
 
     def to_json_dict(self) -> dict:
         return {
@@ -114,14 +124,14 @@ class AsymptoticReport:
 
 
 def asymptotic_report(ns: Sequence[int], tables: tuple[int, ...]) -> list[AsymptoticReport]:
-    """Reports for each n in ``ns`` (tables must cover max(ns) + BELL_FORM_REACH)."""
+    """Reports for each n in ``ns`` (tables must cover max(ns) + REPORT_REACH)."""
     out: list[AsymptoticReport] = []
     for n in ns:
         r = solve_r(n + 1.0)
         exact = total_swrec_formula(n, tables)
         estimate = total_swrec_estimate(n, tables)
         ratio = float(mp.mpf(exact) / estimate)
-        errors = {h: bell_shift_error(n, h, tables) for h in (1, 2, 3)}
+        errors = {h: bell_shift_error(n, h, tables) for h in BELL_SHIFTS}
         out.append(
             AsymptoticReport(
                 n=n,

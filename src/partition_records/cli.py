@@ -27,7 +27,7 @@ from typing import Sequence
 
 from . import verify as verify_mod
 from .verify import check_range
-from .asymptotics import asymptotic_report
+from .asymptotics import REPORT_REACH, asymptotic_report
 from .closedform import (
     BELL_FORM_REACH,
     FORMULA_CAP,
@@ -46,7 +46,7 @@ from .setpartitions import (
 )
 
 # The cap of every n of ``asymptotic --ns`` (Bell tables to n +
-# BELL_FORM_REACH) and of how many n it lists (one report each), the one
+# REPORT_REACH) and of how many n it lists (one report each), the one
 # size not bounded elsewhere.
 ASYMPTOTIC_MAX_N = 1000
 
@@ -153,7 +153,7 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         ) from None
     check_range("--ns", max(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
     check_range("--ns count", len(ns), 1, ASYMPTOTIC_MAX_N, "asymptotic")
-    tables = build_tables(max(ns) + BELL_FORM_REACH)
+    tables = build_tables(max(ns) + REPORT_REACH)
     reports = asymptotic_report(ns, tables)
     print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     return 0

@@ -75,6 +75,12 @@ def build_tables(max_n: int, stirling_max_n: int = 0) -> tuple[int, ...]:
     return tuple(bell_numbers(max_n))
 
 
+def require_table(tables: tuple[int, ...], top: int, label: str) -> None:
+    """Refuse, with ValueError, a table that stops before B_top."""
+    if len(tables) <= top:
+        raise ValueError(f"tables must cover {label} = {top}, have {len(tables) - 1}")
+
+
 # ---------------------------------------------------------------------------
 # Exponential generating functions
 # ---------------------------------------------------------------------------
@@ -83,9 +89,8 @@ def build_tables(max_n: int, stirling_max_n: int = 0) -> tuple[int, ...]:
 def egf_w(order: int, tables: tuple[int, ...]) -> UniSeries:
     """The aggregate EGF W(x) of the module docstring, built from
     ``W_BRACKET``: its coefficients n![x^n] are the totals of swrec over
-    all partitions of [n]."""
-    if len(tables) <= order + 3:
-        raise ValueError(f"tables must cover order+3 = {order + 3}, have {len(tables) - 1}")
+    all partitions of [n].  Reads B_0..B_order."""
+    require_table(tables, order, "order")
     # e^{jx} = exp of [0, j, 0, ..., 0] (order + 1 terms) for each j of the
     # bracket; e^{0x} = 1 needs no series exp
     exps = {0: (1,) + (0,) * order}
@@ -110,9 +115,7 @@ def total_swrec_formula(n: int, tables: tuple[int, ...]) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    reach = n + BELL_FORM_REACH
-    if len(tables) <= reach:
-        raise ValueError(f"tables must cover n+{BELL_FORM_REACH} = {reach}, have {len(tables) - 1}")
+    require_table(tables, n + BELL_FORM_REACH, f"n+{BELL_FORM_REACH}")
     four_t = sum((slope * n + const) * tables[n + h] for h, (slope, const) in BELL_FORM_4T.items())
     if four_t % 4 != 0:
         raise ArithmeticError(f"total for n={n} is not an integer: {four_t}/4")

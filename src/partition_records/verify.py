@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import closedform, genfunc, setpartitions
-from .asymptotics import asymptotic_report, bell_shift_error
+from .asymptotics import BELL_SHIFTS, REPORT_REACH, asymptotic_report, bell_shift_error
 from .closedform import BELL_FORM_REACH, FORMULA_CAP, build_tables
 from .genfunc import GF_MAX_K, GF_MAX_N
 from .setpartitions import DEFAULT_ENUMERATION_CAP
@@ -312,19 +312,12 @@ def run_bellshift(tables: tuple[int, ...] | None = None) -> VerificationOutcome:
     bounded by 3*log(n)/n and strictly decreasing in n for each shift h."""
     rec = _Recorder("bellshift")
     if tables is None:
-        # h = 3 is the largest shift below.
-        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3)
-    errors: dict[int, list[tuple[int, float]]] = {1: [], 2: [], 3: []}
-    for n in DEFAULT_BELLSHIFT_NS:
-        for h in (1, 2, 3):
-            err = bell_shift_error(n, h, tables)
-            errors[h].append((n, err))
+        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + max(BELL_SHIFTS))
+    for h in BELL_SHIFTS:
+        seq = [bell_shift_error(n, h, tables) for n in DEFAULT_BELLSHIFT_NS]
+        for n, err in zip(DEFAULT_BELLSHIFT_NS, seq):
             bound = 3.0 * math.log(n) / n
-            rec.check_that(
-                f"bound n={n} h={h}", err <= bound, f"<= {bound!r}", repr(err)
-            )
-    for h in (1, 2, 3):
-        seq = [e for _, e in errors[h]]
+            rec.check_that(f"bound n={n} h={h}", err <= bound, f"<= {bound!r}", repr(err))
         rec.check_that(
             f"decreasing h={h}",
             all(a > b for a, b in zip(seq, seq[1:])),
@@ -340,7 +333,7 @@ def run_asym(tables: tuple[int, ...] | None = None) -> VerificationOutcome:
     question ride along as diagnostics."""
     rec = _Recorder("asym")
     if tables is None:
-        tables = build_tables(max(DEFAULT_ASYM_NS) + BELL_FORM_REACH)
+        tables = build_tables(max(DEFAULT_ASYM_NS) + REPORT_REACH)
     reports = asymptotic_report(DEFAULT_ASYM_NS, tables)
     for rep in reports:
         rec.check_that(
@@ -364,9 +357,8 @@ def run_all(tables: tuple[int, ...] | None = None) -> VerificationOutcome:
     here unless given, serves every suite of ``_TABLE_SUITES``."""
     rec = _Recorder("all")
     if tables is None:
-        # bellshift's n = 1000 is the largest default n of any suite, and
-        # its largest shift h = 3.
-        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + 3)
+        # bellshift's n = 1000 is the largest default n of any suite.
+        tables = build_tables(max(DEFAULT_BELLSHIFT_NS) + max(BELL_SHIFTS))
     diagnostics: dict = {}
     for suite, run in SUITES.items():
         if suite == "all":

@@ -9,9 +9,13 @@ from partition_records import (
     asymptotic_report,
     bell_shift_error,
     build_tables,
+    egf_w,
     solve_r,
     total_swrec_estimate,
+    total_swrec_formula,
 )
+from partition_records.asymptotics import REPORT_REACH
+from partition_records.closedform import BELL_FORM_REACH
 
 
 def bisect_root(t, tol=1e-10):
@@ -99,11 +103,22 @@ def test_negative_n_reads_no_table_entry_from_the_end(tables):
         bell_shift_error(-5, 2, tables)
 
 
-def test_bell_shift_needs_the_shifted_entry():
-    one_short = build_tables(12)  # n = 10, h = 3 reads B_13
-    assert bell_shift_error(10, 2, one_short) > 0
-    with pytest.raises(IndexError):
-        bell_shift_error(10, 3, one_short)
+# Each Bell-table reader with its reach: the last B_m it reads.
+TABLE_READERS = {
+    "egf_w": (lambda t: egf_w(6, t).coeffs, 6),
+    "total_swrec_formula": (lambda t: total_swrec_formula(10, t), 10 + BELL_FORM_REACH),
+    "total_swrec_estimate": (lambda t: total_swrec_estimate(10, t), 10),
+    "bell_shift_error": (lambda t: bell_shift_error(10, 3, t), 10 + 3),
+    "asymptotic_report": (lambda t: asymptotic_report([10, 50], t), 50 + REPORT_REACH),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(TABLE_READERS))
+def test_table_reader_needs_exactly_its_reach(reader, tables):
+    read, reach = TABLE_READERS[reader]
+    with pytest.raises(ValueError, match="tables must cover"):
+        read(build_tables(reach - 1))
+    assert read(build_tables(reach)) == read(tables)
 
 
 def test_ratio_n10(tables):

@@ -21,6 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from partition_records import verify
+from partition_records.asymptotics import BELL_SHIFTS
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -51,3 +54,10 @@ def test_traced_pass_is_correct_and_fires_every_span(name):
     assert state["attempted"] > 0
     assert (state["failed"], state["errors"]) == (0, [])
     assert worker.check_spans(tracer, installed, workload.silent) == []
+
+
+def test_verify_default_shares_the_table_of_verify_all():
+    # verify-default hands the suites of verify --suite all the same table
+    # that run_all builds, to the same suites.
+    assert workloads.SHARED_TABLE_N == max(verify.DEFAULT_BELLSHIFT_NS) + max(BELL_SHIFTS)
+    assert workloads.TABLE_SUITES == verify._TABLE_SUITES

@@ -55,12 +55,6 @@ def test_egf_w_small_coefficients(tables):
     assert w.egf_coefficient(3) == 32 == total_swrec_bruteforce(3)
 
 
-def test_egf_w_requires_headroom():
-    small = build_tables(8)
-    with pytest.raises(ValueError):
-        egf_w(6, small)
-
-
 def test_total_formula_values(tables):
     assert total_swrec_formula(0, tables) == 0
     assert total_swrec_formula(1, tables) == 1

@@ -54,6 +54,7 @@ def test_bottom_layers_import_no_package_module(module):
     [
         ("genfunc", {"closedform", "setpartitions", "verify", "cli"}),
         ("closedform", {"genfunc", "setpartitions", "verify", "cli"}),
+        ("asymptotics", set(MODULES) - {"asymptotics", "closedform"}),
     ],
 )
 def test_oracle_layers_stay_apart(module, forbidden):
