@@ -93,15 +93,14 @@ def _cmd_total(args: argparse.Namespace) -> int:
         print(total_swrec_bruteforce(args.n))
         return 0
     check_range("--n", args.n, 0, FORMULA_CAP, "formula")
-    tables = build_tables(args.n + BELL_FORM_REACH)
     if args.method == "formula":
-        print(total_swrec_formula(args.n, tables))
-    else:  # egf
-        value = egf_w(args.n, tables).egf_coefficient(args.n)
-        if value.denominator != 1:
-            print(f"error: EGF coefficient for n={args.n} is not an integer", file=sys.stderr)
-            return 1
-        print(value.numerator)
+        print(total_swrec_formula(args.n, build_tables(args.n + BELL_FORM_REACH)))
+        return 0
+    value = egf_w(args.n, build_tables(args.n)).egf_coefficient(args.n)  # reads B_0..B_n
+    if value.denominator != 1:
+        print(f"error: EGF coefficient for n={args.n} is not an integer", file=sys.stderr)
+        return 1
+    print(value.numerator)
     return 0
 
 

@@ -9,17 +9,17 @@ constructions are provided:
 
         x * q^(i + (k+1-i)(k-i)) / (1 - i*x*q^(T_i)),   T_i = (i+1) + ... + k,
 
-    with each factor a ``BiSeries.geometric`` series;
+    with each factor a ``BiSeries.geometric`` factor;
 
 ``gf_recurrence``
     iterating G_k(x,q) = x q^k / (1 - k x) * G_{k-1}(x q^k, q) from
-    G_1(x,q) = x q / (1 - x), or taking that one step from a given G_{k-1}.
+    G_0 = 1, or taking that one step from a given G_{k-1}.
 
-Built from scratch, both multiply k factors, and every product has a
-geometric factor, so each runs the O(order) recurrence of
-``BiSeries.geometric``, the only ``BiSeries`` product (see ``powerseries``).  The two constructions check
-each other (the ``recurrence`` suite), and the enumeration histograms of
-the ``eq1`` suite check the product form independently.
+Built from scratch, both multiply the series 1 by k geometric factors,
+each in O(order) steps: series times factor is the only ``BiSeries``
+product (see ``powerseries``).  The two constructions check each other
+(the ``recurrence`` suite), and the enumeration histograms of the
+``eq1`` suite check the product form independently.
 
 Differentiating with respect to q and setting q = 1 turns G_k into the
 ordinary generating function of the per-size swrec totals.  Its
@@ -62,7 +62,7 @@ def gf_product(k: int, order: int) -> BiSeries:
     for i in range(1, k + 1):
         base = i + (k + 1 - i) * (k - i)  # q-power carried by the record itself
         step = sum(range(i + 1, k + 1))  # q-power per extra letter from 1/(1 - i x q^step)
-        result = result * BiSeries.geometric(i, base, step, order)
+        result = result * BiSeries.geometric(i, base, step)
     return result
 
 
@@ -71,13 +71,13 @@ def gf_recurrence(k: int, order: int, below: BiSeries | None = None) -> BiSeries
 
     Given ``below`` = G_(k-1) at the same order (k >= 2), this takes the one
     step G_k = x q^k / (1 - k x) * G_(k-1)(x q^k, q); without it, it iterates
-    that step from G_1 = x q / (1 - x).  A caller that needs G_1..G_K builds
-    them as one chain by passing each result to the next call.
+    that step from G_0 = 1.  A caller that needs G_1..G_K builds them as
+    one chain by passing each result to the next call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if below is None:
-        g, first = BiSeries.geometric(1, 1, 0, order), 2  # G_1 = x q / (1 - x)
+        g, first = BiSeries.one(order), 1  # G_0 = 1
     elif k == 1:
         raise ValueError("G_1 has no G_0 to step from")
     elif below.order != order:
@@ -85,8 +85,7 @@ def gf_recurrence(k: int, order: int, below: BiSeries | None = None) -> BiSeries
     else:
         g, first = below, k
     for kk in range(first, k + 1):
-        front = BiSeries.geometric(kk, kk, 0, order)  # x q^kk / (1 - kk x)
-        g = front * g.substitute_x_qpow(kk)
+        g = g.substitute_x_qpow(kk) * BiSeries.geometric(kk, kk, 0)  # x q^kk / (1 - kk x)
     return g
 
 

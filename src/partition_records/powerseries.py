@@ -30,19 +30,18 @@ Two representations are provided:
     substitutions build canonical rows and skip the check.
     ``q_weighted_sum`` returns ints.
 
-Closed-form geometric factors
-    ``BiSeries.geometric(c, qbase, qstep, order)`` is the truncated
-    expansion of x q^qbase / (1 - c x q^qstep).  It carries that triple,
-    and multiplying any series S by it uses the recurrence
+Geometric factors
+    ``BiSeries.geometric(c, qbase, qstep)`` is the factor
+    x q^qbase / (1 - c x q^qstep): a frozen value holding that triple,
+    with no order and no rows.  ``series * factor`` is the only
+    ``BiSeries`` product (G_k is a product of k such factors); it keeps
+    the series' order and uses the recurrence
 
         row[n] = q^qbase * S[n-1] + c q^qstep * row[n-1],    row[0] = 0,
 
-    which costs O(order * row terms).  This is the only ``BiSeries``
-    product: every product the generating functions take has such a
-    factor (G_k is a product of k of them), so ``*`` without one raises
-    ``TypeError``.  Products carry no triple, and equality compares rows
-    only.  On dense rows each step of the recurrence is a shift of two
-    rows and one elementwise sum.
+    which costs O(order * row terms): on dense rows each step is a shift
+    of two rows and one elementwise sum.  Any other operand of ``*``
+    raises ``TypeError``.
 
 Everything is exact: floating-point coefficients are rejected, and no
 operation ever reads past the truncation order.  All values are
@@ -54,6 +53,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -213,6 +213,16 @@ def _trimmed(lo: int, cs: list[int]) -> _Row:
     return lo + start, tuple(cs[start:end])
 
 
+@dataclass(frozen=True, slots=True)
+class GeometricFactor:
+    """x q^qbase / (1 - c x q^qstep), a factor of a ``BiSeries`` product;
+    built by ``BiSeries.geometric``, which checks the triple."""
+
+    c: int
+    qbase: int
+    qstep: int
+
+
 class BiSeries:
     """Power series in x with exact integer polynomial coefficients in q.
 
@@ -226,16 +236,13 @@ class BiSeries:
     product is by a ``geometric`` factor.
     """
 
-    # _geometric is (c, qbase, qstep) when the rows are
-    # x q^qbase / (1 - c x q^qstep), else None
-    __slots__ = ("_rows", "_geometric")
+    __slots__ = ("_rows",)
 
     @classmethod
     def _from_rows(cls, rows: tuple[_Row, ...]) -> "BiSeries":
         """A series over rows already in canonical form; nothing is checked or copied."""
         series = cls.__new__(cls)
         series._rows = rows
-        series._geometric = None
         return series
 
     # -- constructors -------------------------------------------------
@@ -260,23 +267,13 @@ class BiSeries:
                 rows[n][s] = rows[n].get(s, 0) + c
         return cls._from_rows(tuple(_dense_row(row) for row in rows))
 
-    @classmethod
-    def geometric(cls, c: int, qbase: int, qstep: int, order: int) -> "BiSeries":
-        """x q^qbase / (1 - c x q^qstep) = sum_j c^j x^(j+1) q^(qbase + j qstep),
-        truncated at ``order``; products with it take the O(order) path."""
+    @staticmethod
+    def geometric(c: int, qbase: int, qstep: int) -> GeometricFactor:
+        """The factor x q^qbase / (1 - c x q^qstep) = sum_j c^j x^(j+1) q^(qbase + j qstep)."""
         _require_plain_ints(c=c, qbase=qbase, qstep=qstep)
         if qbase < 0 or qstep < 0:
             raise ValueError("q-powers must be >= 0")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        rows = [_EMPTY_ROW]
-        power = 1
-        for j in range(order):
-            rows.append((qbase + j * qstep, (power,)) if power else _EMPTY_ROW)
-            power *= c
-        series = cls._from_rows(tuple(rows))
-        series._geometric = (c, qbase, qstep)
-        return series
+        return GeometricFactor(c, qbase, qstep)
 
     # -- inspection ---------------------------------------------------
 
@@ -298,25 +295,14 @@ class BiSeries:
                 if c:
                     yield n, lo + j, c
 
-    def _require_same_order(self, other: "BiSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"series orders differ: {self.order} vs {other.order}")
-
     # -- operations ----------------------------------------------------
 
-    def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        self._require_same_order(other)
-        if other._geometric is not None:
-            return self._times_geometric(*other._geometric)
-        if self._geometric is not None:
-            return other._times_geometric(*self._geometric)
-        raise TypeError("a BiSeries product needs a BiSeries.geometric factor")
-
-    def _times_geometric(self, c: int, qbase: int, qstep: int) -> "BiSeries":
+    def __mul__(self, factor: GeometricFactor) -> "BiSeries":
         """self * x q^qbase / (1 - c x q^qstep), truncated at self's order,
         by row[n] = q^qbase S[n-1] + c q^qstep row[n-1]."""
+        if not isinstance(factor, GeometricFactor):
+            return NotImplemented
+        c, qbase, qstep = factor.c, factor.qbase, factor.qstep
         rows: list[_Row] = [_EMPTY_ROW]
         for plo, pcs in self._rows[:-1]:
             rlo, rcs = rows[-1]

@@ -91,6 +91,21 @@ def test_total_methods_agree():
         assert len(set(outs.values())) == 1, outs
 
 
+@pytest.mark.parametrize("method, reach", [("formula", 3), ("egf", 0)])
+def test_total_sizes_its_table_to_the_reader(method, reach, monkeypatch, capsys):
+    # the formula reads B_n..B_(n+3); the EGF coefficient only B_0..B_n
+    sizes, real = [], cli.build_tables
+
+    def recording(max_n):
+        sizes.append(max_n)
+        return real(max_n)
+
+    monkeypatch.setattr(cli, "build_tables", recording)
+    assert cli.main(["total", "--n", "10", "--method", method]) == 0
+    assert sizes == [10 + reach]
+    assert capsys.readouterr().out == "8962070\n"
+
+
 def test_total_brute_cap_exceeded():
     res = run_cli("total", "--n", "13", "--method", "brute")
     assert res.returncode == 2

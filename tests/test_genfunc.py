@@ -77,6 +77,29 @@ def test_recurrence_step_rejects_below_at_k1():
         gf_recurrence(1, 6, gf_recurrence(1, 6))
 
 
+@pytest.mark.parametrize("order", [0, 1, 9])
+def test_one_product_per_factor(monkeypatch, order):
+    # gf_product and gf_recurrence from G_0 = 1 multiply by k factors; a
+    # below= step multiplies by one
+    calls = []
+    real = BiSeries.__mul__
+
+    def counting(self, factor):
+        calls.append(factor)
+        return real(self, factor)
+
+    monkeypatch.setattr(BiSeries, "__mul__", counting)
+    for k in range(1, 7):
+        for build in (gf_product, gf_recurrence):
+            calls.clear()
+            build(k, order)
+            assert len(calls) == k, (build.__name__, k)
+    below = gf_recurrence(4, order)
+    calls.clear()
+    gf_recurrence(5, order, below)
+    assert len(calls) == 1
+
+
 def test_q_power_bounds():
     # every swrec value s at x^n satisfies k(k+1)/2 <= s <= sum of squares(n),
     # and the smallest one is exactly 1^2 + ... + k^2 (words starting 12..k)

@@ -3,13 +3,15 @@
 import __future__
 import ast
 import dataclasses
+import functools
 import inspect
 import json
 import re
+import textwrap
 
 import pytest
 
-from partition_records import cli, closedform, genfunc, setpartitions, verify
+from partition_records import cli, closedform, genfunc, powerseries, setpartitions, verify
 from partition_records.powerseries import BiSeries
 from partition_records.verify import CaseFailure, VerificationOutcome
 
@@ -375,25 +377,31 @@ class _Mutate(ast.NodeTransformer):
 _COUNTING = ("total_swrec_bruteforce", "swrec_histogram")
 
 
-def _rewrite(name, kind, index, delta):
-    """The module-level function ``name`` of setpartitions, rewritten by
-    _Mutate, and the mutator (to read ``seen``)."""
-    tree = ast.parse(inspect.getsource(getattr(setpartitions, name)))
+def _rewrite(module, qualname, kind, index, delta):
+    """The function or method ``qualname`` of ``module``, rewritten by
+    _Mutate and compiled in the module's namespace, and the mutator (to
+    read ``seen``)."""
+    target = functools.reduce(getattr, qualname.split("."), module)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(target)))
     mutator = _Mutate(kind, index, delta)
     tree = ast.fix_missing_locations(mutator.visit(tree))
-    namespace = dict(vars(setpartitions))
+    namespace = dict(vars(module))
     flags = __future__.annotations.compiler_flag
-    exec(compile(tree, setpartitions.__file__, "exec", flags=flags, dont_inherit=True), namespace)
-    return namespace[name], mutator
+    exec(compile(tree, module.__file__, "exec", flags=flags, dont_inherit=True), namespace)
+    return namespace[target.__name__], mutator
 
 
-_COUNT_MUTANTS = [
-    (name, kind, index, delta)
-    for name in _COUNTING
-    for kind, deltas in (("int", (1, -1)), ("op", (0,)))
-    for index in range(_rewrite(name, kind, -1, 0)[1].seen)
-    for delta in deltas
-]
+def _mutants(module, qualname):
+    """Every (kind, index, delta) that _Mutate can apply to ``qualname``."""
+    return [
+        (kind, index, delta)
+        for kind, deltas in (("int", (1, -1)), ("op", (0,)))
+        for index in range(_rewrite(module, qualname, kind, -1, 0)[1].seen)
+        for delta in deltas
+    ]
+
+
+_COUNT_MUTANTS = [(name, *m) for name in _COUNTING for m in _mutants(setpartitions, name)]
 
 # Mutants that cannot change any answer, each with its proof; empty today.
 _EQUIVALENT_COUNT_MUTANTS: dict[tuple, str] = {}
@@ -409,7 +417,7 @@ def test_count_mutant_sites_cover_both_functions():
     assert set(_EQUIVALENT_COUNT_MUTANTS) <= set(_COUNT_MUTANTS)
     # the unmutated rewrite is the function itself, case for case
     for name in _COUNTING:
-        rewritten, _ = _rewrite(name, "int", -1, 0)
+        rewritten, _ = _rewrite(setpartitions, name, "int", -1, 0)
         for n in range(8):
             assert rewritten(n) == getattr(setpartitions, name)(n)
 
@@ -422,12 +430,84 @@ def test_count_mutant_sites_cover_both_functions():
 def test_every_enumeration_count_is_pinned(monkeypatch, tables, name, kind, index, delta):
     if (name, kind, index, delta) in _EQUIVALENT_COUNT_MUTANTS:
         pytest.skip(_EQUIVALENT_COUNT_MUTANTS[name, kind, index, delta])
-    monkeypatch.setattr(setpartitions, name, _rewrite(name, kind, index, delta)[0])
+    monkeypatch.setattr(setpartitions, name, _rewrite(setpartitions, name, kind, index, delta)[0])
     try:
         passed = verify.run_thm3(max_n=8, tables=tables).passed and verify.run_eq1(max_n=7).passed
     except Exception:  # a mutant that raises is caught as well
         passed = False
     assert not passed
+
+
+# ---------------------------------------------------------------------------
+# Mutants of the series-by-factor product: BiSeries.__mul__ is rewritten in
+# memory the same way; eq1, whose enumeration side shares no BiSeries code,
+# must then fail a case or raise, but for the two lists below.
+# ---------------------------------------------------------------------------
+
+
+_PRODUCT_MUTANTS = _mutants(powerseries, "BiSeries.__mul__")
+
+# Mutants that cannot change any answer, each with its proof.
+_EQUIVALENT_PRODUCT_MUTANTS = {
+    ("op", 6, 0): "max(...) + lo only lengthens out with zeros past both terms; _trimmed cuts them",
+}
+
+# Mutants that change only rows whose c q^qstep row[n-1] term reaches above
+# q^qbase S[n-1].  No product of the package has such a row, so eq1 cannot
+# see them: S's top q-power rises by more than qstep per x-power (in
+# gf_product the earlier factors have the larger steps; in gf_recurrence
+# the substitution adds kk per x-power and qstep is 0).  One product that
+# has such a row must show each of them instead.
+_EQ1_BLIND_PRODUCT_MUTANTS = {
+    ("op", 5, 0): "rlo - len(rcs): out stops before the top of the c q^qstep row[n-1] term",
+    ("op", 8, 0): "plo + lo in the slice stop: pcs overwrites, and so drops, entries past it",
+    ("op", 9, 0): "a slice stop below its start: pcs is inserted, pushing later entries up",
+}
+
+
+def _product_above_the_series_holds():
+    # (1 + x) * x q / (1 - x q^5): [x^2] = q + q^6, the q^6 from q^5 row[1]
+    product = BiSeries.from_terms([(0, 0, 1), (1, 0, 1)], 2) * BiSeries.geometric(1, 1, 5)
+    return list(product.terms()) == [(1, 1, 1), (2, 1, 1), (2, 6, 1)]
+
+
+def test_product_mutant_sites_cover_ints_and_ops(monkeypatch):
+    assert {kind for kind, _, _ in _PRODUCT_MUTANTS} == {"int", "op"}
+    assert set(_EQUIVALENT_PRODUCT_MUTANTS) | set(_EQ1_BLIND_PRODUCT_MUTANTS) <= set(
+        _PRODUCT_MUTANTS
+    )
+    # the unmutated rewrite is the method itself
+    rewritten, _ = _rewrite(powerseries, "BiSeries.__mul__", "int", -1, 0)
+    expected = [genfunc.gf_product(k, 7) for k in range(1, 5)]
+    monkeypatch.setattr(BiSeries, "__mul__", rewritten)
+    assert [genfunc.gf_product(k, 7) for k in range(1, 5)] == expected
+    assert verify.run_eq1(max_n=7).passed and _product_above_the_series_holds()
+
+
+def _passes(check):
+    try:
+        return check()
+    except Exception:  # a mutant that raises is caught as well
+        return False
+
+
+@pytest.mark.parametrize(
+    "kind, index, delta",
+    _PRODUCT_MUTANTS,
+    ids=[_count_mutant_id("BiSeries.__mul__", *m) for m in _PRODUCT_MUTANTS],
+)
+def test_every_product_step_is_pinned(monkeypatch, kind, index, delta):
+    mutant = (kind, index, delta)
+    monkeypatch.setattr(BiSeries, "__mul__", _rewrite(powerseries, "BiSeries.__mul__", *mutant)[0])
+    above = _passes(_product_above_the_series_holds)
+    if mutant in _EQ1_BLIND_PRODUCT_MUTANTS:
+        assert not above
+        return
+    eq1 = _passes(lambda: verify.run_eq1(max_n=7).passed)
+    if mutant in _EQUIVALENT_PRODUCT_MUTANTS:
+        assert eq1 and above  # as its proof says, no answer changes
+    else:
+        assert not eq1
 
 
 # ---------------------------------------------------------------------------
