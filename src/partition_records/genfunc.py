@@ -13,13 +13,16 @@ constructions are provided:
 
 ``gf_recurrence``
     iterating G_k(x,q) = x q^k / (1 - k x) * G_{k-1}(x q^k, q) from
-    G_0 = 1, or taking that one step from a given G_{k-1}.
+    G_0 = 1, or taking that one step from any given G_{k-1}
+    (G_0 = ``BiSeries.one(order)`` included).
 
 Built from scratch, both multiply the series 1 by k geometric factors,
 each in O(order) steps: series times factor is the only ``BiSeries``
 product (see ``powerseries``).  The two constructions check each other
-(the ``recurrence`` suite), and the enumeration histograms of the
-``eq1`` suite check the product form independently.
+(the ``recurrence`` suite), the enumeration histograms of the ``eq1``
+suite check the product form independently, and the integer series of
+``total_swrec_series`` check the recurrence chain's q-weighted sums
+(the ``lemma2`` suite).
 
 Differentiating with respect to q and setting q = 1 turns G_k into the
 ordinary generating function of the per-size swrec totals.  Its
@@ -47,9 +50,9 @@ from .powerseries import BiSeries, Rational, UniSeries
 
 
 # Caps of k and order for every product a caller can ask for (``gf`` and the
-# recurrence and lemma2 suites); the slowest cases, run_recurrence(30, 60)
-# and run_lemma2(30, 60), each take about 5.5-7.5 s on a 2-CPU host with
-# Python 3.11, most of it in gf_product.
+# recurrence and lemma2 suites); the slowest case, run_recurrence(30, 60),
+# takes about 4.5 s on a 2-CPU host with Python 3.11, most of it in
+# gf_product, and run_lemma2(30, 60), one recurrence chain, about 0.8 s.
 GF_MAX_K = 30
 GF_MAX_N = 60
 
@@ -69,8 +72,9 @@ def gf_product(k: int, order: int) -> BiSeries:
 def gf_recurrence(k: int, order: int, below: BiSeries | None = None) -> BiSeries:
     """G_k(x, q) built by the block recurrence.
 
-    Given ``below`` = G_(k-1) at the same order (k >= 2), this takes the one
-    step G_k = x q^k / (1 - k x) * G_(k-1)(x q^k, q); without it, it iterates
+    Given ``below`` = G_(k-1) at the same order (any k >= 1; G_0 is
+    ``BiSeries.one(order)``), this takes the one step
+    G_k = x q^k / (1 - k x) * G_(k-1)(x q^k, q); without it, it iterates
     that step from G_0 = 1.  A caller that needs G_1..G_K builds them as
     one chain by passing each result to the next call.
     """
@@ -78,8 +82,6 @@ def gf_recurrence(k: int, order: int, below: BiSeries | None = None) -> BiSeries
         raise ValueError("k must be >= 1")
     if below is None:
         g, first = BiSeries.one(order), 1  # G_0 = 1
-    elif k == 1:
-        raise ValueError("G_1 has no G_0 to step from")
     elif below.order != order:
         raise ValueError(f"below has order {below.order}, not {order}")
     else:

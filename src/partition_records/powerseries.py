@@ -25,9 +25,9 @@ Two representations are provided:
     never truncated.  Storage is a tuple indexed by x-power of dense rows
     ``(lo, coeffs)``: q^lo * sum_j coeffs[j] q^j, with ``coeffs`` a tuple
     of ints trimmed of zeros at both ends, so every row has one form.
-    Outside input enters only through ``from_terms`` (and the arguments
-    of ``one`` and ``geometric``), which checks it; products and
-    substitutions build canonical rows and skip the check.
+    Outside input enters only through the arguments of ``one`` and
+    ``geometric``, which check them; products and substitutions build
+    canonical rows, and no row is ever re-canonicalised.
     ``q_weighted_sum`` returns ints.
 
 Geometric factors
@@ -55,7 +55,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -176,24 +176,6 @@ _Row = tuple[int, tuple[int, ...]]
 _EMPTY_ROW: _Row = (0, ())
 
 
-def _require_plain_ints(**values: object) -> None:
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be a plain int")
-
-
-def _dense_row(terms: Mapping[int, int]) -> _Row:
-    """The canonical row of a {q-power: int} map."""
-    powers = [s for s, c in terms.items() if c]
-    if not powers:
-        return _EMPTY_ROW
-    lo = min(powers)
-    cs = [0] * (max(powers) - lo + 1)
-    for s in powers:
-        cs[s - lo] = terms[s]
-    return lo, tuple(cs)
-
-
 def _add_scaled(out: list[int], at: int, c: int, cs: tuple[int, ...]) -> None:
     """out[at + j] += c * cs[j] for every j."""
     stop = at + len(cs)
@@ -230,10 +212,10 @@ class BiSeries:
     truncation).  Each x^n row is stored densely as ``(lo, coeffs)``,
     meaning q^lo * sum_j coeffs[j] q^j, with ``coeffs`` a tuple of ints
     trimmed of zeros at both ends; the zero row is ``(0, ())``.  Rows are
-    canonical, so equal series have equal rows.  ``from_terms`` checks
-    and converts outside input; rows built by the operations below are
-    canonical by construction and are not checked again.  The only
-    product is by a ``geometric`` factor.
+    canonical, so equal series have equal rows.  A series is ``one``
+    times ``geometric`` factors, with ``substitute_x_qpow`` between them,
+    as the paper builds G_k; each builds canonical rows, and no row is
+    ever checked or re-canonicalised.
     """
 
     __slots__ = ("_rows",)
@@ -249,28 +231,17 @@ class BiSeries:
 
     @classmethod
     def one(cls, order: int) -> "BiSeries":
-        return cls.from_terms([(0, 0, 1)], order)
-
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[int, int, int]], order: int) -> "BiSeries":
-        """Build from (x-power, q-power, coefficient) triples, truncated at
-        ``order``; like terms combine.  Every triple is checked: all three
-        entries plain ints, both powers >= 0."""
+        """The series 1, truncated at x^order."""
         if order < 0:
             raise ValueError("order must be >= 0")
-        rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
-        for n, s, c in terms:
-            _require_plain_ints(x_power=n, q_power=s, coefficient=c)
-            if n < 0 or s < 0:
-                raise ValueError("x-powers and q-powers must be >= 0")
-            if n <= order:
-                rows[n][s] = rows[n].get(s, 0) + c
-        return cls._from_rows(tuple(_dense_row(row) for row in rows))
+        return cls._from_rows(((0, (1,)),) + (_EMPTY_ROW,) * order)
 
     @staticmethod
     def geometric(c: int, qbase: int, qstep: int) -> GeometricFactor:
         """The factor x q^qbase / (1 - c x q^qstep) = sum_j c^j x^(j+1) q^(qbase + j qstep)."""
-        _require_plain_ints(c=c, qbase=qbase, qstep=qstep)
+        for name, value in (("c", c), ("qbase", qbase), ("qstep", qstep)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a plain int")
         if qbase < 0 or qstep < 0:
             raise ValueError("q-powers must be >= 0")
         return GeometricFactor(c, qbase, qstep)

@@ -6,8 +6,8 @@ returns a ``VerificationOutcome`` listing every mismatch.  Suite names
 
     eq1         product-form generating function vs. enumeration histograms
     recurrence  product form vs. recurrence form, coefficient-wise
-    lemma2      q-weighted sums of the product form vs. the rational
-                closed form, and both vs. enumeration totals
+    lemma2      q-weighted sums of the recurrence form vs. the rational
+                closed form, and the closed form vs. enumeration totals
     propn       partial-fraction reconstruction vs. direct rational
                 evaluation, plus spot checks against the pole-expansion oracle
     thm2        EGF coefficients vs. per-block-count totals and the exact
@@ -209,13 +209,16 @@ def run_lemma2(
     order: int = DEFAULT_SERIES_ORDER,
     max_n: int = DEFAULT_ENUM_MAX_N,
 ) -> VerificationOutcome:
-    """q-weighted sum of the product form vs. the rational closed form
+    """q-weighted sum of the recurrence form vs. the rational closed form
     (per k, through x^order), then closed-form coefficients vs. enumeration
-    totals (per (n, k) cell, n <= max_n).  One walk over P_n serves every
-    k: each word's swrec goes to the total of its block count."""
+    totals (per (n, k) cell, n <= max_n).  G_1..G_max_k are one
+    recurrence chain.  One walk over P_n serves every k: each word's
+    swrec goes to the total of its block count."""
     rec = _Recorder("lemma2", max_k=max_k, order=order, max_n=max_n)
+    g = None
     for k in range(1, max_k + 1):
-        via_gf = genfunc.gf_product(k, order).q_weighted_sum()
+        g = genfunc.gf_recurrence(k, order, below=g)
+        via_gf = g.q_weighted_sum()
         closed = genfunc.total_swrec_series(k, order)
         rec.check(f"series k={k}", list(via_gf), list(closed))
     closed_at_max_n = {k: genfunc.total_swrec_series(k, max_n) for k in range(1, max_n + 1)}

@@ -17,9 +17,19 @@ from partition_records import bell_numbers, cli, genfunc, setpartitions, verify
 from partition_records.verify import CaseFailure, VerificationOutcome
 
 
-def run_cli(*args, env=None):
+def run_process(*args, env=None):
+    """``python -m partition_records`` in a new process, for the tests
+    whose subject is the process itself."""
     cmd = [sys.executable, "-m", "partition_records", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def run_cli(*args):
+    """``cli.main`` in-process, reported as ``run_process`` reports a run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +38,8 @@ def run_cli(*args, env=None):
 
 
 def test_enumerate_n3():
-    res = run_cli("enumerate", "--n", "3")
+    # the one plain run of the module as a program
+    res = run_process("enumerate", "--n", "3")
     assert res.returncode == 0
     assert res.stdout.splitlines() == ["111", "112", "121", "122", "123"]
 
@@ -377,8 +388,8 @@ def test_data_commands_are_deterministic():
         ("asymptotic", "--ns", "10,50"),
     ]
     for args in invocations:
-        first = run_cli(*args)
-        second = run_cli(*args)
+        first = run_process(*args)
+        second = run_process(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
@@ -386,7 +397,7 @@ def test_data_commands_are_deterministic():
 def test_verify_deterministic_modulo_timing():
     outs = []
     for _ in range(2):
-        res = run_cli("verify", "--suite", "recurrence", "--max-k", "3")
+        res = run_process("verify", "--suite", "recurrence", "--max-k", "3")
         payload = json.loads(res.stdout)
         payload.pop("elapsed_ms")
         outs.append(payload)
@@ -399,7 +410,7 @@ def test_cache_env_var_is_ignored(tmp_path):
     bell[17] += 10**6
     (tmp_path / "bell.txt").write_text("".join(f"{n} {b}\n" for n, b in enumerate(bell)))
     env = dict(os.environ, PARTITION_RECORDS_CACHE=str(tmp_path))
-    res = run_cli("total", "--n", "16", env=env)
+    res = run_process("total", "--n", "16", env=env)
     assert res.returncode == 0
     assert res.stdout.strip() == "2303066401903"
 
@@ -453,6 +464,7 @@ def test_sizes_past_a_cap_are_usage_errors(template, cap, monkeypatch, capsys):
         (cli, "gf_product"),
         (verify, "build_tables"),
         (genfunc, "gf_product"),
+        (genfunc, "gf_recurrence"),
         (genfunc, "partial_fraction_coeffs"),
     ):
         monkeypatch.setattr(module, name, stand_in)
@@ -526,12 +538,10 @@ def _argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(_argv())
 def test_cli_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        assert "--" in err.getvalue()  # the line names the flag at fault
+    res = run_cli(*argv)
+    assert res.returncode in (0, 1, 2)
+    assert "Traceback" not in res.stderr
+    if res.returncode == 2:
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "--" in res.stderr  # the line names the flag at fault

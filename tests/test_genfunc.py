@@ -28,7 +28,7 @@ F = Fraction
 
 
 def test_product_k1():
-    assert gf_product(1, 3) == BiSeries.from_terms([(1, 1, 1), (2, 1, 1), (3, 1, 1)], 3)
+    assert list(gf_product(1, 3).terms()) == [(1, 1, 1), (2, 1, 1), (3, 1, 1)]
 
 
 def test_product_k2_small_coefficients():
@@ -72,9 +72,10 @@ def test_recurrence_step_rejects_below_of_another_order():
         gf_recurrence(3, 12, gf_recurrence(2, 11))
 
 
-def test_recurrence_step_rejects_below_at_k1():
-    with pytest.raises(ValueError):
-        gf_recurrence(1, 6, gf_recurrence(1, 6))
+def test_recurrence_step_from_g0():
+    # G_0 = 1 is a valid below= for k = 1
+    for order in (0, 1, 6):
+        assert gf_recurrence(1, order, BiSeries.one(order)) == gf_recurrence(1, order), order
 
 
 @pytest.mark.parametrize("order", [0, 1, 9])

@@ -103,20 +103,17 @@ def test_recurrence_reports_first_bad_row(monkeypatch):
 
     def perturbed(k, order, below=None):
         g = real(k, order, below)
-        return BiSeries.from_terms([*g.terms(), (4, 5, 1)], order) if k == 2 else g
+        return g.substitute_x_qpow(1) if k == 2 else g
 
     monkeypatch.setattr(genfunc, "gf_recurrence", perturbed)
     out = verify.run_recurrence(max_k=3, order=6)
     assert out.cases_run == 3
-    # the recurrence side is one chain, so the wrong G_2 (an extra x^4 q^5)
-    # feeds G_3 (an extra x^5 q^(3 + 5 + 4*3)) and fails k = 3 as well
+    # the recurrence side is one chain, so the wrong G_2 (x -> x q, which
+    # moves its first row x^2 q^5 to x^2 q^7) feeds G_3 (whose first row
+    # x^3 q^14 moves to x^3 q^(3 + 7 + 2*3)) and fails k = 3 as well
     assert out.failures == [
-        CaseFailure("recurrence k=2", "{x^4: {5: 4, 7: 2, 9: 1}}", "{x^4: {5: 5, 7: 2, 9: 1}}"),
-        CaseFailure(
-            "recurrence k=3",
-            "{x^5: {14: 9, 17: 6, 19: 3, 20: 4, 22: 2, 24: 1}}",
-            "{x^5: {14: 9, 17: 6, 19: 3, 20: 5, 22: 2, 24: 1}}",
-        ),
+        CaseFailure("recurrence k=2", "{x^2: {5: 1}}", "{x^2: {7: 1}}"),
+        CaseFailure("recurrence k=3", "{x^3: {14: 1}}", "{x^3: {16: 1}}"),
     ]
 
 
@@ -157,6 +154,44 @@ def test_lemma2_walks_each_n_once(monkeypatch):
     monkeypatch.setattr(setpartitions, "enumerate_rgs", recording)
     assert verify.run_lemma2(max_k=3, order=8, max_n=5).passed
     assert calls == [((n,), {}) for n in range(1, 6)]
+
+
+def test_lemma2_reports_a_wrong_chain_step(monkeypatch):
+    real = genfunc.gf_recurrence
+
+    def perturbed(k, order, below=None):
+        g = real(k, order, below)
+        return g.substitute_x_qpow(1) if k == 2 else g
+
+    monkeypatch.setattr(genfunc, "gf_recurrence", perturbed)
+    out = verify.run_lemma2(max_k=3, order=4, max_n=1)
+    assert out.cases_run == 3 + 1
+    # x -> x q in G_2 adds n to each x^n total of P_{n,2}; G_3, one step
+    # from that G_2, inherits the fault
+    assert out.failures == [
+        CaseFailure("series k=2", "[0, 0, 7, 26, 71]", "[0, 0, 5, 17, 43]"),
+        CaseFailure("series k=3", "[0, 0, 0, 16, 110]", "[0, 0, 0, 14, 95]"),
+    ]
+
+
+def test_lemma2_steps_one_chain(monkeypatch):
+    # the series side takes one product per k and builds no product form
+    products, real_mul = [], BiSeries.__mul__
+    built, real_product = [], genfunc.gf_product
+
+    def counting_mul(self, factor):
+        products.append(factor)
+        return real_mul(self, factor)
+
+    def counting_product(*args):
+        built.append(args)
+        return real_product(*args)
+
+    monkeypatch.setattr(BiSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(genfunc, "gf_product", counting_product)
+    assert verify.run_lemma2(6, 12, 1).passed
+    assert built == []
+    assert len(products) == 6
 
 
 def test_thm2_reports_a_non_integral_total(monkeypatch, tables):
@@ -466,9 +501,9 @@ _EQ1_BLIND_PRODUCT_MUTANTS = {
 
 
 def _product_above_the_series_holds():
-    # (1 + x) * x q / (1 - x q^5): [x^2] = q + q^6, the q^6 from q^5 row[1]
-    product = BiSeries.from_terms([(0, 0, 1), (1, 0, 1)], 2) * BiSeries.geometric(1, 1, 5)
-    return list(product.terms()) == [(1, 1, 1), (2, 1, 1), (2, 6, 1)]
+    # x / (1 - x) * x q / (1 - x q^5): [x^3] = q + q^6, the q^6 from q^5 row[2]
+    product = BiSeries.one(3) * BiSeries.geometric(1, 0, 0) * BiSeries.geometric(1, 1, 5)
+    return list(product.terms()) == [(2, 1, 1), (3, 1, 1), (3, 6, 1)]
 
 
 def test_product_mutant_sites_cover_ints_and_ops(monkeypatch):
