@@ -11,13 +11,22 @@ Two representations are provided:
     ``coeffs``, ``coefficient`` and ``egf_coefficient``, and has three
     kernels: ``*``, ``exp`` and ``reciprocal``.  ``perfbench`` traces all
     three, so they stay until ROADMAP item 3 moves the class and its
-    spans in one change.  A product (same order only) puts each factor
-    over the lcm of its denominators, so every output coefficient is an
-    integer dot product and a single ``Fraction`` reduction, not one
-    reduction per term.  ``exp`` and ``reciprocal`` first scan their
-    input once for its nonzero terms, and each step of their recurrences
-    sums over those terms only: O(order) steps of one term each for
-    e^{cx} = exp(c x).
+    spans in one change.  A product (same order only) writes each factor
+    in the factorial basis, [x^i] = a_i / (i! d) with integers a_i and one
+    d per factor, and convolves the integers binomially, as exponential
+    generating functions multiply:
+
+        m! d_a d_b [x^m] = sum_i C(m, i) a_i b_(m-i),
+
+    with C(m, i) read from a Pascal row updated once per m.  Each output
+    coefficient is an integer dot product and a single ``Fraction``
+    reduction.  On an EGF such as sum B_n x^n / n! the a_i are the values
+    B_i themselves, so a term costs their size, not that of the lcm of
+    the n! (order!, about 3,770 bits at order 500).  The identity holds
+    for any rational coefficients.  ``exp`` and ``reciprocal`` first scan
+    their input once for its nonzero terms, and each step of their
+    recurrences sums over those terms only: O(order) steps of one term
+    each for e^{cx} = exp(c x).
 
 ``BiSeries``
     A power series in x whose coefficients are integer polynomials in a
@@ -66,11 +75,17 @@ def _as_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers nums and den with coeffs[i] == nums[i] / den, den the lcm of
-    the denominators."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _over_factorial_basis(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers alphas and d with coeffs[i] == alphas[i] / (i! d), d the lcm
+    of the denominators of coeffs[i] * i!."""
+    scaled = []
+    fact = 1
+    for i, c in enumerate(coeffs):
+        fact *= i or 1
+        g = math.gcd(fact, c.denominator)
+        scaled.append((c.numerator * (fact // g), c.denominator // g))
+    d = math.lcm(*[q for _, q in scaled])
+    return [p * (d // q) for p, q in scaled], d
 
 
 def _nonzero_terms(coeffs: tuple[Fraction, ...]) -> list[tuple[int, Fraction]]:
@@ -118,14 +133,19 @@ class UniSeries:
         n = self.order
         if n != other.order:
             raise ValueError(f"series orders differ: {n} vs {other.order}")
-        a, da = _over_common_denominator(self._coeffs)
-        b, db = _over_common_denominator(other._coeffs)
+        a, da = _over_factorial_basis(self._coeffs)
+        b, db = _over_factorial_basis(other._coeffs)
         b.reverse()
+        out = []
         den = da * db
-        # [x^m] = sum_i a_i b_(m-i) / (da db): one reduction per coefficient
-        return UniSeries(
-            [Fraction(sum(map(operator.mul, a[: m + 1], b[n - m :])), den) for m in range(n + 1)]
-        )
+        pascal = [1]  # C(m, 0..m)
+        for m in range(len(a)):
+            # m! da db [x^m] = sum_i C(m, i) a_i b_(m-i): one reduction per coefficient
+            terms = map(operator.mul, a, b[n - m :])
+            out.append(Fraction(sum(map(operator.mul, pascal, terms)), den))
+            den *= m + 1
+            pascal = list(map(operator.add, [0, *pascal], [*pascal, 0]))
+        return UniSeries(out)
 
     def reciprocal(self) -> "UniSeries":
         """Multiplicative inverse through the truncation order.

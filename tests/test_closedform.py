@@ -15,6 +15,7 @@ from partition_records import (
     total_swrec_formula,
 )
 from partition_records.closedform import BELL_FORM_4T, W_BRACKET
+from partition_records.powerseries import UniSeries, _over_factorial_basis
 
 
 def test_bell_small_values():
@@ -53,6 +54,38 @@ def test_egf_w_small_coefficients(tables):
     assert w.egf_coefficient(0) == 0
     assert w.egf_coefficient(1) == 1
     assert w.egf_coefficient(3) == 32 == total_swrec_bruteforce(3)
+
+
+def test_egf_w_refuses_a_negative_order(tables):
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        egf_w(-1, tables)
+
+
+def test_egf_factors_are_integers_in_the_factorial_basis(tables):
+    # why the EGF product is cheap: over i! its factors are integers with a
+    # small common d, so each term of the binomial convolution is the size
+    # of the values, not of the lcm of the n!
+    order = 40
+    bell = [Fraction(tables[n], math.factorial(n)) for n in range(order + 1)]
+    assert _over_factorial_basis(tuple(bell)) == (list(tables[: order + 1]), 1)
+    # [x^n] of c x^i e^{jx} is c j^(n-i) / (n-i)!
+    bracket = [
+        sum(c * j ** (n - i) / math.factorial(n - i) for (i, j), c in W_BRACKET.items() if i <= n)
+        for n in range(order + 1)
+    ]
+    assert egf_w(order, tables) == UniSeries(bell) * UniSeries(bracket)
+    # alone, 3/4 e^{3x} needs d = 4; in the whole bracket the quarters
+    # cancel, since 4 n! [x^n] = 3^(n+1) + 6 2^n - 7 - 2n 2^n - 6n - 2[n=0]
+    # is 0 mod 4 for every n
+    powers = [3 ** (n + 1) for n in range(order + 1)]
+    three_quarters_e3x = tuple(Fraction(p, 4 * math.factorial(n)) for n, p in enumerate(powers))
+    assert _over_factorial_basis(three_quarters_e3x) == (powers, 4)
+    alphas, d = _over_factorial_basis(tuple(bracket))
+    assert d == 1
+    assert alphas == [
+        (3 ** (n + 1) + 6 * 2**n - 7 - 2 * n * 2**n - 6 * n - 2 * (n == 0)) // 4
+        for n in range(order + 1)
+    ]
 
 
 def test_total_formula_values(tables):

@@ -216,6 +216,27 @@ def test_mul_matches_schoolbook(pair):
     assert_exact(UniSeries(a) * UniSeries(b), schoolbook_mul(a, b))
 
 
+@st.composite
+def egf_pair(draw):
+    """Two series shaped like the EGFs the product serves: coefficient i
+    is p_i / (c i!) with one small c per series."""
+    n = draw(st.integers(min_value=0, max_value=30))
+
+    def series():
+        c = draw(st.integers(min_value=1, max_value=12))
+        ps = draw(st.lists(st.integers(-(10**6), 10**6), min_size=n + 1, max_size=n + 1))
+        return [F(p, c * math.factorial(i)) for i, p in enumerate(ps)]
+
+    return series(), series()
+
+
+@settings(max_examples=50)
+@given(egf_pair())
+def test_mul_of_egf_shaped_series_matches_schoolbook(pair):
+    a, b = pair
+    assert_exact(UniSeries(a) * UniSeries(b), schoolbook_mul(a, b))
+
+
 @settings(max_examples=50)
 @given(exact_pair())
 def test_reciprocal_matches_schoolbook(pair):

@@ -44,6 +44,14 @@ def test_thm2_small(tables):
     assert out.cases_run == 13 + 21 + 501
 
 
+def test_thm2_over_the_whole_formula_range(tables):
+    # every n that total --method egf serves: 13 block sums, and a formula
+    # and an integrality case for each n <= FORMULA_CAP
+    out = verify.run_thm2(max_n=closedform.FORMULA_CAP, tables=tables)
+    assert out.passed
+    assert out.cases_run == 13 + 2 * (closedform.FORMULA_CAP + 1) == 1015
+
+
 def test_thm3_small(tables):
     out = verify.run_thm3(max_n=6, tables=tables)
     assert out.passed and out.cases_run == 7
@@ -543,6 +551,52 @@ def test_every_product_step_is_pinned(monkeypatch, kind, index, delta):
         assert eq1 and above  # as its proof says, no answer changes
     else:
         assert not eq1
+
+
+# ---------------------------------------------------------------------------
+# Mutants of the EGF product: UniSeries.__mul__ and its factorial basis are
+# rewritten in memory the same way; thm2, which compares the product W(x)
+# with the Bell formula and with the block sums, must then fail a case or
+# raise.  None of these mutants is equivalent, so there is no allow-list.
+# ---------------------------------------------------------------------------
+
+
+_EGF_PRODUCT_TARGETS = ("UniSeries.__mul__", "_over_factorial_basis")
+_EGF_PRODUCT_MUTANTS = [
+    (name, *m) for name in _EGF_PRODUCT_TARGETS for m in _mutants(powerseries, name)
+]
+
+
+def _with_egf_mutant(monkeypatch, name, kind, index, delta):
+    rewritten = _rewrite(powerseries, name, kind, index, delta)[0]
+    if name == "UniSeries.__mul__":
+        monkeypatch.setattr(powerseries.UniSeries, "__mul__", rewritten)
+    else:
+        monkeypatch.setattr(powerseries, name, rewritten)
+
+
+def test_egf_product_mutant_sites_cover_both_functions(monkeypatch, tables):
+    assert {(name, kind) for name, kind, _, _ in _EGF_PRODUCT_MUTANTS} == {
+        ("UniSeries.__mul__", "int"),
+        ("UniSeries.__mul__", "op"),
+        ("_over_factorial_basis", "int"),
+    }
+    # the unmutated rewrites are the functions themselves
+    expected = closedform.egf_w(12, tables)
+    for name in _EGF_PRODUCT_TARGETS:
+        _with_egf_mutant(monkeypatch, name, "int", -1, 0)
+    assert closedform.egf_w(12, tables) == expected
+    assert verify.run_thm2(max_n=12, tables=tables).passed
+
+
+@pytest.mark.parametrize(
+    "name, kind, index, delta",
+    _EGF_PRODUCT_MUTANTS,
+    ids=[_count_mutant_id(*m) for m in _EGF_PRODUCT_MUTANTS],
+)
+def test_every_egf_product_step_is_pinned(monkeypatch, tables, name, kind, index, delta):
+    _with_egf_mutant(monkeypatch, name, kind, index, delta)
+    assert not _passes(lambda: verify.run_thm2(max_n=12, tables=tables).passed)
 
 
 # ---------------------------------------------------------------------------
