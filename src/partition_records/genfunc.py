@@ -18,11 +18,15 @@ constructions are provided:
 
 Built from scratch, both multiply the series 1 by k geometric factors,
 each in O(order) steps: series times factor is the only ``BiSeries``
-product (see ``powerseries``).  The two constructions check each other
-(the ``recurrence`` suite), the enumeration histograms of the ``eq1``
-suite check the product form independently, and the integer series of
-``total_swrec_series`` check the recurrence chain's q-weighted sums
-(the ``lemma2`` suite).
+product (see ``powerseries``).  Each factor carries an x, so after i of
+k factors only rows x^0..x^(order-k+i) can reach x^order: both start
+from the series 1 through x^(order-k), each product adds the one row it
+can know, and the result is truncated at x^order, so for k <= order no
+row that the truncation drops is built.  The two constructions check
+each other (the ``recurrence`` suite), the enumeration histograms of
+the ``eq1`` suite check the product form independently, and the integer
+series of ``total_swrec_series`` check the recurrence chain's q-weighted
+sums (the ``lemma2`` suite).
 
 Differentiating with respect to q and setting q = 1 turns G_k into the
 ordinary generating function of the per-size swrec totals.  Its
@@ -51,8 +55,9 @@ from .powerseries import BiSeries, Rational, UniSeries
 
 # Caps of k and order for every product a caller can ask for (``gf`` and the
 # recurrence and lemma2 suites); the slowest case, run_recurrence(30, 60),
-# takes about 4.5 s on a 2-CPU host with Python 3.11, most of it in
-# gf_product, and run_lemma2(30, 60), one recurrence chain, about 0.8 s.
+# takes about 4 s on a 2-CPU host with Python 3.11.7 (3.7-4.8 s), about
+# 3 s of it in gf_product, and run_lemma2(30, 60), one recurrence chain,
+# about 1 s (0.9-1.14 s).
 GF_MAX_K = 30
 GF_MAX_N = 60
 
@@ -61,12 +66,13 @@ def gf_product(k: int, order: int) -> BiSeries:
     """G_k(x, q) built from the k-factor product, truncated at x^order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    result = BiSeries.one(order)
+    # each factor adds a row, so k factors from x^(order - k) reach x^order
+    result = BiSeries.one(max(order - k, 0))
     for i in range(1, k + 1):
         base = i + (k + 1 - i) * (k - i)  # q-power carried by the record itself
         step = sum(range(i + 1, k + 1))  # q-power per extra letter from 1/(1 - i x q^step)
         result = result * BiSeries.geometric(i, base, step)
-    return result
+    return result.truncate(order)
 
 
 def gf_recurrence(k: int, order: int, below: BiSeries | None = None) -> BiSeries:
@@ -86,9 +92,11 @@ def gf_recurrence(k: int, order: int, below: BiSeries | None = None) -> BiSeries
         raise ValueError(f"below has order {below.order}, not {order}")
     else:
         g, first = below, k
+    # each step adds a row, so the chain starts k + 1 - first rows short
+    g = g.truncate(max(order - (k + 1 - first), 0))
     for kk in range(first, k + 1):
         g = g.substitute_x_qpow(kk) * BiSeries.geometric(kk, kk, 0)  # x q^kk / (1 - kk x)
-    return g
+    return g.truncate(order)
 
 
 @functools.cache

@@ -43,14 +43,18 @@ Geometric factors
     ``BiSeries.geometric(c, qbase, qstep)`` is the factor
     x q^qbase / (1 - c x q^qstep): a frozen value holding that triple,
     with no order and no rows.  ``series * factor`` is the only
-    ``BiSeries`` product (G_k is a product of k such factors); it keeps
-    the series' order and uses the recurrence
+    ``BiSeries`` product (G_k is a product of k such factors); it uses
+    the recurrence
 
         row[n] = q^qbase * S[n-1] + c q^qstep * row[n-1],    row[0] = 0,
 
     which costs O(order * row terms): on dense rows each step is a shift
-    of two rows and one elementwise sum.  Any other operand of ``*``
-    raises ``TypeError``.
+    of two rows and one elementwise sum.  Row n reads only S[n-1] and
+    row n-1, so the product of a series through x^N is exact through
+    x^(N+1), and it has one row more than the series.  ``truncate(order)``
+    keeps rows x^0..x^order, so a product of k factors that is read
+    through x^N starts from a series through x^(N-k) and builds no row
+    that it drops.  Any other operand of ``*`` raises ``TypeError``.
 
 Everything is exact: floating-point coefficients are rejected, and no
 operation ever reads past the truncation order.  All values are
@@ -234,8 +238,8 @@ class BiSeries:
     trimmed of zeros at both ends; the zero row is ``(0, ())``.  Rows are
     canonical, so equal series have equal rows.  A series is ``one``
     times ``geometric`` factors, with ``substitute_x_qpow`` between them,
-    as the paper builds G_k; each builds canonical rows, and no row is
-    ever checked or re-canonicalised.
+    as the paper builds G_k, and ``truncate`` keeps its low rows; each
+    builds canonical rows, and no row is ever checked or re-canonicalised.
     """
 
     __slots__ = ("_rows",)
@@ -289,13 +293,15 @@ class BiSeries:
     # -- operations ----------------------------------------------------
 
     def __mul__(self, factor: GeometricFactor) -> "BiSeries":
-        """self * x q^qbase / (1 - c x q^qstep), truncated at self's order,
-        by row[n] = q^qbase S[n-1] + c q^qstep row[n-1]."""
+        """self * x q^qbase / (1 - c x q^qstep) through x^(self.order + 1),
+        by row[n] = q^qbase S[n-1] + c q^qstep row[n-1]: row[n] reads only
+        S[n-1] and row[n-1], so the factor's x makes the product exact one
+        order further than self."""
         if not isinstance(factor, GeometricFactor):
             return NotImplemented
         c, qbase, qstep = factor.c, factor.qbase, factor.qstep
         rows: list[_Row] = [_EMPTY_ROW]
-        for plo, pcs in self._rows[:-1]:
+        for plo, pcs in self._rows:
             rlo, rcs = rows[-1]
             if not (c and rcs):
                 rows.append((plo + qbase, pcs) if pcs else _EMPTY_ROW)
@@ -311,6 +317,14 @@ class BiSeries:
                 _add_scaled(out, rlo - lo, c, rcs)
                 rows.append(_trimmed(lo, out))
         return BiSeries._from_rows(tuple(rows))
+
+    def truncate(self, order: int) -> "BiSeries":
+        """The rows x^0..x^order of self; self itself if order is its order."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"truncation order {order} outside 0..{self.order}")
+        if order == self.order:
+            return self
+        return BiSeries._from_rows(self._rows[: order + 1])
 
     def substitute_x_qpow(self, k: int) -> "BiSeries":
         """Substitute x -> x * q^k: each term (n, s, c) becomes (n, s + k*n, c)."""

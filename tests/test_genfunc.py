@@ -81,24 +81,28 @@ def test_recurrence_step_from_g0():
 @pytest.mark.parametrize("order", [0, 1, 9])
 def test_one_product_per_factor(monkeypatch, order):
     # gf_product and gf_recurrence from G_0 = 1 multiply by k factors; a
-    # below= step multiplies by one
-    calls = []
+    # below= step multiplies by one.  Each factor carries an x, so after i
+    # of k factors only x^0..x^(order-k+i) can reach x^order: the operands
+    # run from order - k (or 0) up by one row per factor, and a below= step
+    # multiplies G_(k-1) through x^(order-1).
+    orders = []
     real = BiSeries.__mul__
 
-    def counting(self, factor):
-        calls.append(factor)
+    def recording(self, factor):
+        orders.append(self.order)
         return real(self, factor)
 
-    monkeypatch.setattr(BiSeries, "__mul__", counting)
+    monkeypatch.setattr(BiSeries, "__mul__", recording)
     for k in range(1, 7):
+        start = max(order - k, 0)
         for build in (gf_product, gf_recurrence):
-            calls.clear()
-            build(k, order)
-            assert len(calls) == k, (build.__name__, k)
+            orders.clear()
+            assert build(k, order).order == order
+            assert orders == list(range(start, start + k)), (build.__name__, k)
     below = gf_recurrence(4, order)
-    calls.clear()
-    gf_recurrence(5, order, below)
-    assert len(calls) == 1
+    orders.clear()
+    assert gf_recurrence(5, order, below).order == order
+    assert orders == [max(order - 1, 0)]
 
 
 def test_q_power_bounds():

@@ -303,27 +303,28 @@ def factor_map(args, order):
 
 
 def monomial(qpowers, order):
-    """x^len(qpowers) q^sum(qpowers), one factor x q^a per entry."""
+    """x^len(qpowers) q^sum(qpowers) through x^order, one factor x q^a per entry."""
     series = BiSeries.one(order)
     for a in qpowers:
         series = series * BiSeries.geometric(0, a, 0)
-    return series
+    return series.truncate(order)
 
 
 def test_bi_monomial_product():
     a = monomial([1], 3)  # x q
     b = BiSeries.geometric(0, 2, 5)  # x q^2 / (1 - 0) = x q^2
-    assert list((a * b).terms()) == [(2, 3, 1)]
-    assert as_map(a * b) == schoolbook_bimul(as_map(a), factor_map((0, 2, 5), 3), 3)
+    assert (a * b).order == 4 and list((a * b).terms()) == [(2, 3, 1)]
+    assert as_map(a * b) == schoolbook_bimul(as_map(a), factor_map((0, 2, 5), 4), 4)
 
 
 def test_bi_mul_identity():
-    # one * factor is the factor's expansion, at every order
+    # one * factor is the factor's expansion, at every order, one order
+    # further than the series: the factor's x makes that row exact
     for args in ((1, 0, 0), (2, 3, 1), (-3, 1, 4), (0, 2, 5)):
         for order in range(5):
             product = BiSeries.one(order) * BiSeries.geometric(*args)
-            assert product.order == order
-            assert as_map(product) == factor_map(args, order)
+            assert product.order == order + 1
+            assert as_map(product) == factor_map(args, order + 1)
 
 
 def test_bi_one_rejects_negative_order():
@@ -334,16 +335,16 @@ def test_bi_one_rejects_negative_order():
 
 def test_bi_mul_geometric_factors():
     # (x q^3 / (1 - x q^2)) * (x q^2 / (1 - 2x)): coefficient of x^3 is q^7 + 2 q^5
-    a = BiSeries.one(3) * BiSeries.geometric(1, 3, 2)
+    a = BiSeries.one(2) * BiSeries.geometric(1, 3, 2)
     ab = a * BiSeries.geometric(2, 2, 0)
-    assert ab.q_coefficients(3) == {7: 1, 5: 2}
-    assert as_map(ab) == schoolbook_bimul(as_map(a), factor_map((2, 2, 0), 3), 3)
+    assert ab.order == 4 and ab.q_coefficients(3) == {7: 1, 5: 2}
+    assert as_map(ab) == schoolbook_bimul(as_map(a), factor_map((2, 2, 0), 4), 4)
 
 
 def test_bi_substitute():
     assert list(monomial([1], 4).substitute_x_qpow(2).terms()) == [(1, 3, 1)]
     # x q^2 + 3 x^2 q^5 + 9 x^3 q^8 + 27 x^4 q^11
-    a = BiSeries.one(4) * BiSeries.geometric(3, 2, 3)
+    a = BiSeries.one(3) * BiSeries.geometric(3, 2, 3)
     assert a.substitute_x_qpow(0) == a
     assert list(a.substitute_x_qpow(1).terms()) == [(1, 3, 1), (2, 7, 3), (3, 11, 9), (4, 15, 27)]
     assert list(monomial([0, 5], 4).substitute_x_qpow(3).terms()) == [(2, 11, 1)]
@@ -383,7 +384,7 @@ def bi_series(draw, order=4):
             series = series.substitute_x_qpow(substitute)
         if args is not None:
             series = series * BiSeries.geometric(*args)
-    return series
+    return series.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def bi_series(draw, order=4):
 
 def test_bi_geometric_rows():
     one = BiSeries.one
-    assert list((one(4) * BiSeries.geometric(2, 3, 1)).terms()) == [
+    assert list((one(3) * BiSeries.geometric(2, 3, 1)).terms()) == [
         (1, 3, 1),
         (2, 4, 2),
         (3, 5, 4),
@@ -401,7 +402,8 @@ def test_bi_geometric_rows():
     ]
     assert list((one(3) * BiSeries.geometric(0, 2, 5)).terms()) == [(1, 2, 1)]
     product = one(0) * BiSeries.geometric(4, 1, 1)
-    assert product.order == 0 and list(product.terms()) == []
+    assert product.order == 1 and list(product.terms()) == [(1, 1, 1)]
+    assert list(product.truncate(0).terms()) == []
 
 
 def test_bi_geometric_factor_is_a_frozen_triple():
@@ -432,16 +434,20 @@ def test_bi_geometric_rejects_bad_arguments(args, error):
 
 @given(st.data(), geometric_args)
 def test_bi_mul_geometric_matches_convolution(data, args):
+    # series * factor is exact through x^(order + 1): the factor's x means
+    # that row reads the series only through x^order
     order = data.draw(st.integers(min_value=0, max_value=5))
     x = data.draw(bi_series(order=order))
-    expected = schoolbook_bimul(as_map(x), factor_map(args, order), order)
-    assert as_map(x * BiSeries.geometric(*args)) == expected
+    expected = schoolbook_bimul(as_map(x), factor_map(args, order + 1), order + 1)
+    product = x * BiSeries.geometric(*args)
+    assert product.order == order + 1
+    assert as_map(product) == expected
 
 
 @given(st.integers(min_value=0, max_value=5), geometric_args, geometric_args)
 def test_bi_mul_two_geometric_factors(order, f, g):
     one, a, b = BiSeries.one(order), BiSeries.geometric(*f), BiSeries.geometric(*g)
-    expected = schoolbook_bimul(factor_map(f, order), factor_map(g, order), order)
+    expected = schoolbook_bimul(factor_map(f, order + 2), factor_map(g, order + 2), order + 2)
     assert as_map(one * a * b) == expected
     assert as_map(one * b * a) == expected
 
@@ -452,10 +458,28 @@ def test_bi_geometric_products_associate(data, f, g):
     x = data.draw(bi_series(order=order))
     gf, gg = BiSeries.geometric(*f), BiSeries.geometric(*g)
     expected = schoolbook_bimul(
-        schoolbook_bimul(as_map(x), factor_map(f, order), order), factor_map(g, order), order
+        schoolbook_bimul(as_map(x), factor_map(f, order + 1), order + 1),
+        factor_map(g, order + 2),
+        order + 2,
     )
     assert (x * gf) * gg == (x * gg) * gf
     assert as_map((x * gf) * gg) == expected
+
+
+def test_bi_truncate_keeps_the_low_rows():
+    a = BiSeries.one(4) * BiSeries.geometric(3, 2, 3)  # through x^5
+    assert a.truncate(5) is a
+    for order in range(6):
+        kept = a.truncate(order)
+        assert kept.order == order
+        assert list(kept.terms()) == [t for t in a.terms() if t[0] <= order]
+
+
+@pytest.mark.parametrize("order", [-1, 6])
+def test_bi_truncate_rejects_orders_outside_the_series(order):
+    a = BiSeries.one(4) * BiSeries.geometric(3, 2, 3)  # through x^5
+    with pytest.raises(ValueError, match="outside 0..5"):
+        a.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +497,8 @@ def assert_canonical_rows(series):
 
 def test_bi_rows_cancelling_to_zero_are_canonical():
     # x / (1 - x) * x / (1 + x) = x^2 / (1 - x^2): the x^3 row cancels to zero
-    product = BiSeries.one(3) * BiSeries.geometric(1, 0, 0) * BiSeries.geometric(-1, 0, 0)
-    assert list(product.terms()) == [(2, 0, 1)]
+    product = BiSeries.one(1) * BiSeries.geometric(1, 0, 0) * BiSeries.geometric(-1, 0, 0)
+    assert product.order == 3 and list(product.terms()) == [(2, 0, 1)]
     assert product._rows[3] == (0, ())
     assert_canonical_rows(product)
 

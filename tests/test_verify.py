@@ -420,18 +420,22 @@ class _Mutate(ast.NodeTransformer):
 _COUNTING = ("total_swrec_bruteforce", "swrec_histogram")
 
 
-def _rewrite(module, qualname, kind, index, delta):
+def _compiled(module, qualname, transformer):
     """The function or method ``qualname`` of ``module``, rewritten by
-    _Mutate and compiled in the module's namespace, and the mutator (to
-    read ``seen``)."""
+    ``transformer`` and compiled in the module's namespace."""
     target = functools.reduce(getattr, qualname.split("."), module)
     tree = ast.parse(textwrap.dedent(inspect.getsource(target)))
-    mutator = _Mutate(kind, index, delta)
-    tree = ast.fix_missing_locations(mutator.visit(tree))
+    tree = ast.fix_missing_locations(transformer.visit(tree))
     namespace = dict(vars(module))
     flags = __future__.annotations.compiler_flag
     exec(compile(tree, module.__file__, "exec", flags=flags, dont_inherit=True), namespace)
-    return namespace[target.__name__], mutator
+    return namespace[target.__name__]
+
+
+def _rewrite(module, qualname, kind, index, delta):
+    """``qualname`` rewritten by _Mutate, and the mutator (to read ``seen``)."""
+    mutator = _Mutate(kind, index, delta)
+    return _compiled(module, qualname, mutator), mutator
 
 
 def _mutants(module, qualname):
@@ -510,7 +514,7 @@ _EQ1_BLIND_PRODUCT_MUTANTS = {
 
 def _product_above_the_series_holds():
     # x / (1 - x) * x q / (1 - x q^5): [x^3] = q + q^6, the q^6 from q^5 row[2]
-    product = BiSeries.one(3) * BiSeries.geometric(1, 0, 0) * BiSeries.geometric(1, 1, 5)
+    product = BiSeries.one(1) * BiSeries.geometric(1, 0, 0) * BiSeries.geometric(1, 1, 5)
     return list(product.terms()) == [(2, 1, 1), (3, 1, 1), (3, 6, 1)]
 
 
@@ -551,6 +555,67 @@ def test_every_product_step_is_pinned(monkeypatch, kind, index, delta):
         assert eq1 and above  # as its proof says, no answer changes
     else:
         assert not eq1
+
+
+# ---------------------------------------------------------------------------
+# Mutants of the start orders: gf_product and gf_recurrence start their
+# products max(order - steps, 0) rows deep, as each factor adds a row, and
+# each start is moved by +-1.  One row short leaves the product a row
+# short of x^order, which truncate(order) refuses, so eq1 or recurrence
+# must fail a case or raise; one row long is on the allow-list below.
+# ---------------------------------------------------------------------------
+
+
+class _MoveStart(ast.NodeTransformer):
+    """Adds delta to the first argument of each max(...) call, counting the
+    calls in ``seen``."""
+
+    def __init__(self, delta):
+        self.delta, self.seen = delta, 0
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if isinstance(node.func, ast.Name) and node.func.id == "max":
+            self.seen += 1
+            node.args[0] = ast.BinOp(node.args[0], ast.Add(), ast.Constant(self.delta))
+        return node
+
+
+_STARTS = ("gf_product", "gf_recurrence")
+_START_MUTANTS = [(name, delta) for name in _STARTS for delta in (1, -1)]
+
+# Mutants that cannot change any answer, each with its proof.
+_EQUIVALENT_START_MUTANTS = {
+    (name, 1): "one row past x^order is built, and truncate(order) drops it" for name in _STARTS
+}
+
+
+def _product_suites_pass():
+    return verify.run_eq1(max_n=7).passed and verify.run_recurrence(max_k=8, order=12).passed
+
+
+def test_start_order_mutant_sites(monkeypatch):
+    # each function has one start order, and the unmoved rewrite is the
+    # function itself, for k below and above the order
+    cases = [(name, k, order) for name in _STARTS for k, order in ((3, 7), (9, 4))]
+    expected = [getattr(genfunc, name)(k, order) for name, k, order in cases]
+    for name in _STARTS:
+        mover = _MoveStart(0)
+        monkeypatch.setattr(genfunc, name, _compiled(genfunc, name, mover))
+        assert mover.seen == 1, name
+    assert [getattr(genfunc, name)(k, order) for name, k, order in cases] == expected
+    assert _product_suites_pass()
+
+
+@pytest.mark.parametrize(
+    "name, delta", _START_MUTANTS, ids=[f"{name}{delta:+d}" for name, delta in _START_MUTANTS]
+)
+def test_every_start_order_is_pinned(monkeypatch, name, delta):
+    monkeypatch.setattr(genfunc, name, _compiled(genfunc, name, _MoveStart(delta)))
+    if (name, delta) in _EQUIVALENT_START_MUTANTS:
+        assert _product_suites_pass()  # as its proof says, no answer changes
+    else:
+        assert not _passes(_product_suites_pass)
 
 
 # ---------------------------------------------------------------------------
