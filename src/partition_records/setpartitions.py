@@ -36,13 +36,13 @@ record that adds length * (t + 1), the record definition applied to one
 letter.
 
 ``enumerate_rgs`` walks length n and yields every word (or those with
-k blocks).  The histogram and the total walk the prefixes of length
-n - 2 and count each prefix's last two letters in classes instead of
-visiting them.  Take a prefix with maximum t and swrec r.  Position
-n - 1 holds one of t non-records (swrec r, maximum t) or the record
-t + 1 (swrec r' = r + (n - 1)(t + 1), maximum t + 1); position n then
-splits each of those the same way, into u non-records and one record
-that adds n(u + 1), u being the maximum so far.  That gives four
+k blocks).  The histogram, the census and the total walk the prefixes
+of length n - 2 and count each prefix's last two letters in classes
+instead of visiting them.  Take a prefix with maximum t and swrec r.
+Position n - 1 holds one of t non-records (swrec r, maximum t) or the
+record t + 1 (swrec r' = r + (n - 1)(t + 1), maximum t + 1); position n
+then splits each of those the same way, into u non-records and one
+record that adds n(u + 1), u being the maximum so far.  That gives four
 classes, as (count, swrec, maximum):
 
     (t^2,   r,                t)
@@ -50,13 +50,18 @@ classes, as (count, swrec, maximum):
     (t + 1, r',               t + 1)
     (1,     r' + n(t + 2),    t + 2)
 
-and the total adds t(t + 1)(r + n) + (t + 2)(r' + n) per prefix.  So
-every prefix is walked and every word of length n is counted exactly
-once, by its prefix; n <= 1 has no prefix of length n - 2 and is
-answered directly.  The classes stop at two letters: counting three or
-more letters the same way would be a dynamic program over (maximum,
-swrec) in all but name, and this module is the oracle such a program
-should be checked against.
+The private kernel ``_two_letter_classes`` gives this table, and the
+histogram and the census read it; the total adds its closed sum
+t(t + 1)(r + n) + (t + 2)(r' + n) per prefix, which the tests pin to
+the table.  ``swrec_census`` counts {(maximum, swrec): count}, every
+block count at once; it takes its prefixes from ``enumerate_rgs`` and
+reads their maximum and swrec by the definition, so the per-word
+statistic stays on its path.  So every prefix is walked and every word
+of length n is counted exactly once, by its prefix; n <= 1 has no
+prefix of length n - 2 and is answered directly.  The classes stop at
+two letters: counting three or more letters the same way would be a
+dynamic program over (maximum, swrec) in all but name, and this module
+is the oracle such a program should be checked against.
 """
 
 from __future__ import annotations
@@ -205,6 +210,18 @@ def blocks_from_rgs(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(b) for b in blocks)
 
 
+def _two_letter_classes(n: int, t: int, r: int) -> tuple[tuple[int, int, int], ...]:
+    """The words of length n >= 2 that extend one prefix of length n - 2,
+    with maximum t and swrec r, in four classes of (count, swrec, maximum)."""
+    r1 = r + (n - 1) * (t + 1)
+    return (
+        (t * t, r, t),
+        (t, r + n * (t + 1), t + 1),
+        (t + 1, r1, t + 1),
+        (1, r1 + n * (t + 2), t + 2),
+    )
+
+
 def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:
     """Exact histogram {swrec value: count} over all partitions of [n]
     (restricted to k blocks when ``k`` is given).  P_0 holds the empty
@@ -216,16 +233,26 @@ def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:
     if n <= 1:
         return Counter({n: 1})
     for _, t, r in _walk(n - 2):
-        r1 = r + (n - 1) * (t + 1)
-        for count, s, top in (
-            (t * t, r, t),
-            (t, r + n * (t + 1), t + 1),
-            (t + 1, r1, t + 1),
-            (1, r1 + n * (t + 2), t + 2),
-        ):
+        for count, s, top in _two_letter_classes(n, t, r):
             if count and (k is None or k == top):
                 hist[s] += count
     return hist
+
+
+def swrec_census(n: int) -> Counter[tuple[int, int]]:
+    """Exact census {(blocks, swrec): count} over all partitions of [n].
+    Each prefix of length n - 2 comes from ``enumerate_rgs`` and its
+    maximum and swrec are read by the definition; its last two letters
+    are counted in classes.  ``swrec_census(0)`` is {(0, 0): 1}."""
+    _check_size(n)
+    if n <= 1:
+        return Counter({(n, n): 1})
+    census: Counter[tuple[int, int]] = Counter()
+    for prefix in enumerate_rgs(n - 2):
+        for count, s, top in _two_letter_classes(n, max(prefix, default=0), swrec(prefix)):
+            if count:
+                census[top, s] += count
+    return census
 
 
 def total_swrec_bruteforce(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:

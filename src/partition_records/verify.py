@@ -212,8 +212,9 @@ def run_lemma2(
     """q-weighted sum of the recurrence form vs. the rational closed form
     (per k, through x^order), then closed-form coefficients vs. enumeration
     totals (per (n, k) cell, n <= max_n).  G_1..G_max_k are one
-    recurrence chain.  One walk over P_n serves every k: each word's
-    swrec goes to the total of its block count."""
+    recurrence chain.  One census of P_n serves every k: each
+    (block count, swrec) class adds swrec times its count to the total
+    of its block count."""
     rec = _Recorder("lemma2", max_k=max_k, order=order, max_n=max_n)
     g = None
     for k in range(1, max_k + 1):
@@ -224,8 +225,8 @@ def run_lemma2(
     closed_at_max_n = {k: genfunc.total_swrec_series(k, max_n) for k in range(1, max_n + 1)}
     for n in range(1, max_n + 1):
         by_k = [0] * (n + 1)
-        for w in setpartitions.enumerate_rgs(n):
-            by_k[max(w)] += setpartitions.swrec(w)
+        for (k, s), count in setpartitions.swrec_census(n).items():
+            by_k[k] += s * count
         for k in range(1, n + 1):
             rec.check(f"coeff n={n} k={k}", by_k[k], closed_at_max_n[k][n])
     return rec.finish()

@@ -18,7 +18,7 @@ from partition_records import (
     swrec_histogram,
     total_swrec_bruteforce,
 )
-from partition_records.setpartitions import _walk
+from partition_records.setpartitions import _two_letter_classes, _walk, swrec_census
 
 
 def sum_of_squares(n):
@@ -271,6 +271,55 @@ def test_swrec_histogram_matches_per_word_definition():
             expected = Counter(swrec(w) for w in enumerate_rgs(n, k))
             # as dicts: Counter equality would ignore a stored zero count
             assert dict(swrec_histogram(n, k)) == dict(expected), (n, k)
+
+
+def test_total_is_the_closed_sum_of_the_classes():
+    # total_swrec_bruteforce adds this closed sum per prefix instead of
+    # reading the class table; a prefix of length n - 2 has maximum t <= n - 2
+    for n in range(2, 14):
+        for t in range(n - 1):
+            for r in range(0, 100, 7):
+                classes = _two_letter_classes(n, t, r)
+                r1 = r + (n - 1) * (t + 1)
+                closed = t * (t + 1) * (r + n) + (t + 2) * (r1 + n)
+                assert sum(count * s for count, s, _ in classes) == closed, (n, t, r)
+                # t^2 + t + (t + 1) + 1 two-letter extensions
+                assert sum(count for count, _, _ in classes) == (t + 1) ** 2 + 1
+
+
+# The census counts P_n by (blocks, swrec): n = 0 and 1 are answered
+# without a walk, and n = 2 walks the empty prefix, whose empty classes
+# leave no zero counts behind.
+def test_swrec_census_smallest():
+    assert dict(swrec_census(0)) == {(0, 0): 1}
+    assert dict(swrec_census(1)) == {(1, 1): 1}
+    assert dict(swrec_census(2)) == {(1, 1): 1, (2, 5): 1}
+
+
+def test_swrec_census_rejects_negative_n():
+    with pytest.raises(ValueError):
+        swrec_census(-1)
+
+
+def test_swrec_census_matches_per_word_definition():
+    for n in range(10):
+        expected = Counter((max(w, default=0), swrec(w)) for w in enumerate_rgs(n))
+        # as dicts: Counter equality would ignore a stored zero count
+        assert dict(swrec_census(n)) == dict(expected), n
+
+
+def test_swrec_census_filtered_by_k_is_the_histogram():
+    for n in range(11):
+        census = swrec_census(n)
+        for k in range(1, n + 2):
+            in_k = {s: count for (blocks, s), count in census.items() if blocks == k}
+            assert in_k == dict(swrec_histogram(n, k)), (n, k)
+
+
+def test_swrec_census_weighs_to_the_total():
+    for n in range(13):
+        weighted = sum(s * count for (_, s), count in swrec_census(n).items())
+        assert weighted == total_swrec_bruteforce(n), n
 
 
 def test_total_swrec_pinned_at_cap():

@@ -8,11 +8,13 @@ import inspect
 import json
 import re
 import textwrap
+import time
 
 import pytest
 
 from partition_records import cli, closedform, genfunc, powerseries, setpartitions, verify
 from partition_records.powerseries import BiSeries
+from partition_records.setpartitions import DEFAULT_ENUMERATION_CAP
 from partition_records.verify import CaseFailure, VerificationOutcome
 
 
@@ -143,12 +145,21 @@ def test_eq1_renders_histograms(monkeypatch):
 
 
 def test_lemma2_reports_the_cell_of_one_wrong_word(monkeypatch):
+    # the census reads swrec once per prefix of length n - 2, so a wrong
+    # swrec of 121 moves the 10 words of P_5 that extend it, each by 1
     real = setpartitions.swrec
-    monkeypatch.setattr(setpartitions, "swrec", lambda w: real(w) + (tuple(w) == (1, 2, 1, 3)))
+    monkeypatch.setattr(setpartitions, "swrec", lambda w: real(w) + (tuple(w) == (1, 2, 1)))
     out = verify.run_lemma2(max_k=3, order=8, max_n=5)
     assert out.cases_run == 3 + 15
-    # P_{4,3} = {1123, 1213, 1223, 1231, 1232, 1233}: swrec 19 + 17 * 2 + 14 * 3 = 95
-    assert out.failures == [CaseFailure("coeff n=4 k=3", "96", "95")]
+    # the closed form gives 97, 433 and 335 for k = 2, 3, 4; the census
+    # side gains 1 per word that extends 121: 4 in P_{5,2} (12111, 12112,
+    # 12121, 12122), 5 in P_{5,3} (12113, 12123, 12131, 12132, 12133) and
+    # 1 in P_{5,4} (12134)
+    assert out.failures == [
+        CaseFailure("coeff n=5 k=2", "101", "97"),
+        CaseFailure("coeff n=5 k=3", "438", "433"),
+        CaseFailure("coeff n=5 k=4", "336", "335"),
+    ]
 
 
 def test_lemma2_walks_each_n_once(monkeypatch):
@@ -161,7 +172,20 @@ def test_lemma2_walks_each_n_once(monkeypatch):
 
     monkeypatch.setattr(setpartitions, "enumerate_rgs", recording)
     assert verify.run_lemma2(max_k=3, order=8, max_n=5).passed
-    assert calls == [((n,), {}) for n in range(1, 6)]
+    # one walk of the prefixes of length n - 2 per n; n = 1 has none
+    assert calls == [((n - 2,), {}) for n in range(2, 6)]
+
+
+def test_lemma2_at_the_enumeration_cap():
+    # the census walks B_10 = 115,975 prefixes for n = 12 and the suite
+    # takes 0.5-0.9 s; visiting all 4.2M words of P_12 one by one took
+    # 6.5-9.8 s on the same 2-CPU host
+    started = time.perf_counter()
+    out = verify.run_lemma2(max_n=DEFAULT_ENUMERATION_CAP)
+    elapsed = time.perf_counter() - started
+    # 6 series cases (k <= 6) and 78 coeff cells (k <= n <= 12)
+    assert out.passed and out.cases_run == 6 + 78
+    assert elapsed < 3.0
 
 
 def test_lemma2_reports_a_wrong_chain_step(monkeypatch):
@@ -384,10 +408,10 @@ def test_every_closed_form_constant_is_pinned(monkeypatch, tables, kind, target,
 
 
 # ---------------------------------------------------------------------------
-# Mutants of the enumeration counts: the two-letter classes of
-# total_swrec_bruteforce and swrec_histogram are rewritten in memory, one
-# integer literal moved by +-1 or one + / - swapped at a time; thm3 or eq1
-# must then fail a case or raise.
+# Mutants of the enumeration counts: total_swrec_bruteforce, swrec_histogram,
+# swrec_census and their two-letter class kernel are rewritten in memory,
+# one integer literal moved by +-1 or one + / - swapped at a time; every
+# suite that runs the mutated function must then fail a case or raise.
 # ---------------------------------------------------------------------------
 
 
@@ -417,7 +441,23 @@ class _Mutate(ast.NodeTransformer):
     visit_BinOp = visit_AugAssign = _swap
 
 
-_COUNTING = ("total_swrec_bruteforce", "swrec_histogram")
+# Each counting function with the functions its mutants reach; a name's
+# sites are those of its functions in turn.  swrec_histogram reads its
+# classes from the kernel _two_letter_classes, so its sites run on into
+# the kernel; swrec_census shares that kernel and has its own body's.
+_COUNTING = {
+    "total_swrec_bruteforce": ("total_swrec_bruteforce",),
+    "swrec_histogram": ("swrec_histogram", "_two_letter_classes"),
+    "swrec_census": ("swrec_census",),
+}
+
+# The suites that run each function; every one must fail its mutants.
+_RUN_BY = {
+    "total_swrec_bruteforce": ("thm3",),
+    "swrec_histogram": ("eq1",),
+    "_two_letter_classes": ("eq1", "lemma2"),
+    "swrec_census": ("lemma2",),
+}
 
 
 def _compiled(module, qualname, transformer):
@@ -448,7 +488,21 @@ def _mutants(module, qualname):
     ]
 
 
-_COUNT_MUTANTS = [(name, *m) for name in _COUNTING for m in _mutants(setpartitions, name)]
+def _count_mutants(name):
+    """Every (kind, index, delta, function, index in function) of ``name``:
+    the sites of its functions are numbered in turn, per kind."""
+    found = []
+    for kind, deltas in (("int", (1, -1)), ("op", (0,))):
+        sites = [
+            (function, local)
+            for function in _COUNTING[name]
+            for local in range(_rewrite(setpartitions, function, kind, -1, 0)[1].seen)
+        ]
+        found += [(kind, index, delta, *site) for index, site in enumerate(sites) for delta in deltas]
+    return found
+
+
+_COUNT_MUTANTS = [(name, *m) for name in _COUNTING for m in _count_mutants(name)]
 
 # Mutants that cannot change any answer, each with its proof; empty today.
 _EQUIVALENT_COUNT_MUTANTS: dict[tuple, str] = {}
@@ -458,31 +512,34 @@ def _count_mutant_id(name, kind, index, delta):
     return f"{name}-{kind}{index}" + (f"{delta:+d}" if kind == "int" else "")
 
 
-def test_count_mutant_sites_cover_both_functions():
-    sites = {(name, kind) for name, kind, _, _ in _COUNT_MUTANTS}
+def test_count_mutant_sites_cover_every_counting_function(monkeypatch):
+    sites = {(name, kind) for name, kind, *_ in _COUNT_MUTANTS}
     assert sites == {(name, kind) for name in _COUNTING for kind in ("int", "op")}
-    assert set(_EQUIVALENT_COUNT_MUTANTS) <= set(_COUNT_MUTANTS)
-    # the unmutated rewrite is the function itself, case for case
-    for name in _COUNTING:
-        rewritten, _ = _rewrite(setpartitions, name, "int", -1, 0)
-        for n in range(8):
-            assert rewritten(n) == getattr(setpartitions, name)(n)
+    assert {function for *_, function, _ in _COUNT_MUTANTS} == set(_RUN_BY)
+    assert set(_EQUIVALENT_COUNT_MUTANTS) <= {tuple(m[:4]) for m in _COUNT_MUTANTS}
+    # the unmutated rewrites are the functions themselves, case for case
+    expected = [[getattr(setpartitions, name)(n) for n in range(8)] for name in _COUNTING]
+    for function in _RUN_BY:
+        rewritten, _ = _rewrite(setpartitions, function, "int", -1, 0)
+        monkeypatch.setattr(setpartitions, function, rewritten)
+    assert [[getattr(setpartitions, name)(n) for n in range(8)] for name in _COUNTING] == expected
 
 
 @pytest.mark.parametrize(
-    "name, kind, index, delta",
+    "name, kind, index, delta, function, local",
     _COUNT_MUTANTS,
-    ids=[_count_mutant_id(*m) for m in _COUNT_MUTANTS],
+    ids=[_count_mutant_id(*m[:4]) for m in _COUNT_MUTANTS],
 )
-def test_every_enumeration_count_is_pinned(monkeypatch, tables, name, kind, index, delta):
+def test_every_enumeration_count_is_pinned(
+    monkeypatch, tables, name, kind, index, delta, function, local
+):
     if (name, kind, index, delta) in _EQUIVALENT_COUNT_MUTANTS:
         pytest.skip(_EQUIVALENT_COUNT_MUTANTS[name, kind, index, delta])
-    monkeypatch.setattr(setpartitions, name, _rewrite(setpartitions, name, kind, index, delta)[0])
-    try:
-        passed = verify.run_thm3(max_n=8, tables=tables).passed and verify.run_eq1(max_n=7).passed
-    except Exception:  # a mutant that raises is caught as well
-        passed = False
-    assert not passed
+    rewritten, _ = _rewrite(setpartitions, function, kind, local, delta)
+    monkeypatch.setattr(setpartitions, function, rewritten)
+    suites = {**_mutation_suites(tables), "eq1": lambda: verify.run_eq1(max_n=7)}
+    passed = [suite for suite in _RUN_BY[function] if _passes(lambda: suites[suite]().passed)]
+    assert passed == []
 
 
 # ---------------------------------------------------------------------------
