@@ -7,10 +7,8 @@ drifting toward 3/4 -- the multiplier carried by the dominant term of the
 exact Bell-number form.  The shift-expansion errors shrink like log(n)/n.
 """
 
-import mpmath as mp
-
 from partition_records import asymptotic_report, build_tables
-from partition_records.asymptotics import REPORT_REACH
+from partition_records.asymptotics import REPORT_REACH, format_significant
 
 ns = [10, 50, 100, 200, 400, 800]
 tables = build_tables(max(ns) + REPORT_REACH)
@@ -18,7 +16,7 @@ tables = build_tables(max(ns) + REPORT_REACH)
 print(f"{'n':>4} {'r':>8} {'estimate':>12} {'exact/est':>10} {'shift err h=1':>14}")
 for rep in asymptotic_report(ns, tables):
     print(
-        f"{rep.n:>4} {rep.r:>8.4f} {mp.nstr(rep.estimate, 4):>12}"
+        f"{rep.n:>4} {rep.r:>8.4f} {format_significant(rep.estimate, 4):>12}"
         f" {rep.ratio:>10.4f} {rep.bell_shift_errors[1]:>14.6f}"
     )
 

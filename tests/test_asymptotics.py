@@ -1,8 +1,8 @@
 """Root solving and asymptotic diagnostics against a bisection oracle."""
 
 import math
+from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from partition_records import (
@@ -14,7 +14,7 @@ from partition_records import (
     total_swrec_estimate,
     total_swrec_formula,
 )
-from partition_records.asymptotics import REPORT_REACH
+from partition_records.asymptotics import REPORT_REACH, format_significant
 from partition_records.closedform import BELL_FORM_REACH
 
 
@@ -82,10 +82,10 @@ def test_estimate_n10(tables):
 
 
 def test_estimate_survives_huge_bell(tables):
-    # B_800 is far beyond double range; the estimate must stay finite in mpmath
+    # B_800 is far beyond double range; the estimate is an exact Fraction
     est = total_swrec_estimate(800, tables)
-    assert mp.isfinite(est) and est > 0
-    assert float(mp.log10(est)) > 300
+    assert isinstance(est, Fraction)
+    assert est > 10**300
 
 
 def test_estimate_rejects_n0(tables):
@@ -101,6 +101,9 @@ def test_negative_n_reads_no_table_entry_from_the_end(tables):
         bell_shift_error(-1, 1, tables)
     with pytest.raises(ValueError):
         bell_shift_error(-5, 2, tables)
+    for n in (-1, -7):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            bell_shift_error(n, 0, tables)
 
 
 # Each Bell-table reader with its reach: the last B_m it reads.
@@ -156,3 +159,44 @@ def test_report_empty(tables):
 def test_report_r_monotone(tables):
     reports = asymptotic_report([10, 100], tables)
     assert reports[0].r < reports[1].r
+
+
+# Each expected string is mpmath 1.3.0's nstr(x, digits) of x evaluated
+# to 1000 digits: the layout the JSON "estimate" field and demo 04 print.
+NSTR = [
+    (Fraction(1), 4, "1.0"),
+    (Fraction(3), 10, "3.0"),
+    (Fraction(1000), 4, "1000.0"),
+    (Fraction(9999), 4, "9999.0"),  # exponent digits - 1: fixed
+    (Fraction(49997, 5), 4, "9999.0"),
+    (Fraction(10**4), 4, "1.0e+4"),  # exponent digits: scientific
+    (Fraction(19999, 2), 4, "1.0e+4"),  # rounds up across the switch
+    (Fraction(12344), 4, "1.234e+4"),
+    (Fraction(12345), 4, "1.235e+4"),  # half up
+    (Fraction(12344999999, 10**7), 4, "1234.0"),  # rounded once, not twice
+    (Fraction(1234567), 4, "1.235e+6"),
+    (Fraction(2 * 10**9, 3), 10, "666666666.7"),
+    (Fraction(2 * 10**10, 3), 10, "6666666667.0"),
+    (Fraction(2469135781, 2), 10, "1234567891.0"),  # exponent digits - 1: fixed
+    (Fraction(12345678901), 10, "1.23456789e+10"),  # exponent digits: scientific
+    (Fraction(12345678904999, 10**3), 10, "1.23456789e+10"),
+    (Fraction(19999999999, 2), 10, "1.0e+10"),
+    (Fraction(10**13), 10, "1.0e+13"),
+    (Fraction(10**400 + 1, 7), 10, "1.428571429e+399"),
+]
+
+
+@pytest.mark.parametrize("x, digits, expected", NSTR)
+def test_format_significant_matches_nstr(x, digits, expected):
+    assert format_significant(x, digits) == expected
+
+
+def test_format_significant_of_the_estimate(tables):
+    assert format_significant(total_swrec_estimate(5, tables), 4) == "2845.0"
+    assert format_significant(total_swrec_estimate(1, tables), 10) == "2.989087007"
+
+
+def test_format_significant_refuses_below_one():
+    for x in (Fraction(999, 1000), Fraction(0), Fraction(-5)):
+        with pytest.raises(ValueError, match="x must be >= 1"):
+            format_significant(x, 10)

@@ -10,14 +10,24 @@ digest here.
 import contextlib
 import hashlib
 import io
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from partition_records import cli
 
 _ELAPSED = re.compile(r'"elapsed_ms": [^,\n]+')
+
+
+def _digest(stdout: str) -> str:
+    return hashlib.sha256(_ELAPSED.sub('"elapsed_ms": 0', stdout).encode()).hexdigest()
+
 
 STDOUT_SHA256 = {
     "gf --k 1 --max-n 0 --format json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
@@ -82,5 +92,44 @@ def test_cli_output_is_unchanged(line):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(shlex.split(line)) == 0
-    text = _ELAPSED.sub('"elapsed_ms": 0', out.getvalue())
-    assert hashlib.sha256(text.encode()).hexdigest() == STDOUT_SHA256[line]
+    assert _digest(out.getvalue()) == STDOUT_SHA256[line]
+
+
+def test_asymptotic_over_its_whole_domain_is_unchanged():
+    # every n that ``asymptotic --ns`` accepts, in one argv
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["asymptotic", "--ns", ",".join(map(str, range(1, 1001)))]) == 0
+    assert _digest(out.getvalue()) == (
+        "cccb618eb4b71f761e04df0d90d3e305ab2bcbab3b9d93d41c5dd6c50a399f78"
+    )
+
+
+# Runs each argv through ``cli.main`` in a process where mpmath cannot be
+# imported, and prints [exit code, stdout] for each as JSON.
+_WITHOUT_MPMATH = """
+import contextlib, io, json, shlex, sys
+sys.modules["mpmath"] = None
+from partition_records import cli
+runs = []
+for line in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([cli.main(shlex.split(line)), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_outputs_need_only_the_standard_library():
+    lines = ["asymptotic --ns 1,10,100,1000", "verify --suite asym"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH, *lines],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [code for code, _ in runs] == [0, 0]
+    assert [_digest(stdout) for _, stdout in runs] == [STDOUT_SHA256[line] for line in lines]

@@ -2,10 +2,12 @@
 
 Enumeration (``setpartitions``), the GF layer (``genfunc`` over
 ``powerseries``) and the Bell layer (``closedform``) check one another,
-so none of them may reach another's code.
+so none of them may reach another's code.  Outside the package, every
+module imports only the standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,26 @@ def test_bottom_layers_import_no_package_module(module):
 )
 def test_oracle_layers_stay_apart(module, forbidden):
     assert not package_imports(module) & forbidden
+
+
+def external_imports(module: str) -> set[str]:
+    """The top-level names of the modules outside the package that
+    ``module`` imports, at any depth of its code."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - {"partition_records"}
+
+
+def test_import_scan_sees_known_modules():
+    assert {"argparse", "json"} <= external_imports("cli")  # import ...
+    assert "typing" in external_imports("cli")  # from typing import ...
+
+
+@pytest.mark.parametrize("module", ["__init__", *MODULES])
+def test_package_imports_only_the_standard_library(module):
+    assert external_imports(module) <= set(sys.stdlib_module_names)
