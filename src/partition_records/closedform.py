@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .powerseries import UniSeries
@@ -38,6 +39,11 @@ BELL_FORM_4T: dict[int, tuple[int, int]] = {3: (0, 3), 2: (0, -3), 1: (-4, -7), 
 # T(n) reads B_n .. B_{n + BELL_FORM_REACH}, so its table must reach that far.
 BELL_FORM_REACH = max(BELL_FORM_4T)
 
+# BELL_FORM_4T as the (h, slope, const) triples that total_swrec_formula
+# reads, and the label of its table reach, built once rather than per call.
+_BELL_TERMS = tuple((h, slope, const) for h, (slope, const) in BELL_FORM_4T.items())
+_REACH_LABEL = f"n+{BELL_FORM_REACH}"
+
 # W(x) = e^(e^x - 1) * sum of c * x^i * e^{jx}: (i, j) -> c.
 W_BRACKET: dict[tuple[int, int], Fraction] = {
     (0, 3): Fraction(3, 4), (0, 2): Fraction(3, 2), (0, 1): Fraction(-7, 4),
@@ -45,10 +51,11 @@ W_BRACKET: dict[tuple[int, int], Fraction] = {
 }
 
 # Largest n at which the CLI and the verify suites evaluate T(n) by the
-# formula and the EGF: egf_w at order FORMULA_CAP takes about 0.14 s on a
-# 2-CPU host with Python 3.11, and its cost grows faster than the square of
-# the order (about 5x from order 250 to 500: order^2 / 2 products of
-# integers, B_i and C(m, i) among them, that grow with the order).
+# formula and the EGF: egf_w at order FORMULA_CAP takes about 0.12 s on a
+# 2-CPU host with Python 3.11.7, nearly all of it in the product, and its
+# cost grows faster than the square of the order (about 6x from order 250
+# to 500: order^2 / 2 products of integers, B_i and C(m, i) among them,
+# that grow with the order).
 FORMULA_CAP = 500
 
 
@@ -94,18 +101,24 @@ def egf_w(order: int, tables: tuple[int, ...]) -> UniSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     require_table(tables, order, "order")
-    # e^{jx} = exp of [0, j, 0, ..., 0] (order + 1 terms) for each j of the
-    # bracket; e^{0x} = 1 needs no series exp
-    exps = {0: (1,) + (0,) * order}
+    facts = list(itertools.accumulate(range(1, order + 1), operator.mul, initial=1))
+    # E_j(m) = m! [x^m] e^{jx}, an integer, from the series exp of
+    # [0, j, 0, ..., 0] (order + 1 terms) for each j of the bracket;
+    # e^{0x} = 1 needs no series exp
+    powers = {0: [1] + [0] * order}
     for j in {j for _, j in W_BRACKET} - {0}:
-        exps[j] = UniSeries(([0, j] + [0] * order)[: order + 1]).exp().coeffs
-    # [x^n] of c x^i e^{jx} is c [x^(n-i)] e^{jx}
+        series = UniSeries(([0, j] + [0] * order)[: order + 1]).exp()
+        powers[j] = [c.numerator * (f // c.denominator) for c, f in zip(series.coeffs, facts)]
+    # n! [x^n] of c x^i e^{jx} is c n!/(n-i)! E_j(n-i); over den, the
+    # common denominator of the bracket's c, each term is an integer
+    den = math.lcm(*[c.denominator for c in W_BRACKET.values()])
+    terms = [(i, powers[j], c.numerator * den // c.denominator) for (i, j), c in W_BRACKET.items()]
     bracket = [
-        sum(c * exps[j][n - i] for (i, j), c in W_BRACKET.items() if i <= n)
-        for n in range(order + 1)
+        Fraction(sum([c * math.perm(n, i) * e[n - i] for i, e, c in terms if i <= n]), den * f)
+        for n, f in enumerate(facts)
     ]
     # e^(e^x - 1) = sum of B_n x^n / n!, from the table
-    bell = UniSeries([Fraction(tables[n], math.factorial(n)) for n in range(order + 1)])
+    bell = UniSeries([Fraction(b, f) for b, f in zip(tables, facts)])
     return bell * UniSeries(bracket)
 
 
@@ -118,8 +131,9 @@ def total_swrec_formula(n: int, tables: tuple[int, ...]) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    require_table(tables, n + BELL_FORM_REACH, f"n+{BELL_FORM_REACH}")
-    four_t = sum((slope * n + const) * tables[n + h] for h, (slope, const) in BELL_FORM_4T.items())
-    if four_t % 4 != 0:
+    require_table(tables, n + BELL_FORM_REACH, _REACH_LABEL)
+    four_t = sum([(slope * n + const) * tables[n + h] for h, slope, const in _BELL_TERMS])
+    total, rem = divmod(four_t, 4)
+    if rem:
         raise ArithmeticError(f"total for n={n} is not an integer: {four_t}/4")
-    return four_t // 4
+    return total

@@ -10,7 +10,7 @@ Two representations are provided:
     It is built from the full coefficient list, read through ``order``,
     ``coeffs``, ``coefficient`` and ``egf_coefficient``, and has three
     kernels: ``*``, ``exp`` and ``reciprocal``.  ``perfbench`` traces all
-    three, so they stay until ROADMAP item 3 moves the class and its
+    three, so they stay until ROADMAP item 4 moves the class and its
     spans in one change.  A product (same order only) writes each factor
     in the factorial basis, [x^i] = a_i / (i! d) with integers a_i and one
     d per factor, and convolves the integers binomially, as exponential
@@ -23,10 +23,16 @@ Two representations are provided:
     reduction.  On an EGF such as sum B_n x^n / n! the a_i are the values
     B_i themselves, so a term costs their size, not that of the lcm of
     the n! (order!, about 3,770 bits at order 500).  The identity holds
-    for any rational coefficients.  ``exp`` and ``reciprocal`` first scan
-    their input once for its nonzero terms, and each step of their
-    recurrences sums over those terms only: O(order) steps of one term
-    each for e^{cx} = exp(c x).
+    for any rational coefficients.  ``exp`` works in the same basis: with
+    [x^i] = alpha_i / (i! d) for its input, the integers
+    beta_n = n! d^n [x^n] of its output obey
+
+        beta_n = sum_(i=1..n) C(n-1, i-1) alpha_i d^(i-1) beta_(n-i),
+
+    an integer sum over the nonzero alpha_i only and one ``Fraction``
+    reduction per coefficient: O(order) steps of one term each for
+    e^{cx} = exp(c x).  ``reciprocal`` scans its input once for its
+    nonzero terms, and each step of its recurrence sums over those only.
 
 ``BiSeries``
     A power series in x whose coefficients are integer polynomials in a
@@ -170,17 +176,23 @@ class UniSeries:
     def exp(self) -> "UniSeries":
         """exp of a series with zero constant term.
 
-        Uses the recurrence b' = a' * b for b = exp(a), which only needs
-        exact rational arithmetic.
+        From b' = a' * b for b = exp(a), over the factorial basis of ``*``
+        (the module docstring gives the recurrence): each coefficient is
+        an integer sum over the nonzero input terms and one ``Fraction``
+        reduction.
         """
-        a = self._coeffs
-        if a[0] != 0:
+        if self._coeffs[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        terms = [(i, i * c) for i, c in _nonzero_terms(a)]
+        alphas, d = _over_factorial_basis(self._coeffs)
+        terms = [(i, alpha * d ** (i - 1)) for i, alpha in enumerate(alphas) if alpha]
+        betas = [1]
         out = [Fraction(1)]
-        for n in range(1, self.order + 1):
-            # n b_n = sum_{i=1..n} i a_i b_(n-i)
-            out.append(sum([c * out[n - i] for i, c in terms if i <= n], Fraction(0)) / n)
+        den = 1  # n! d^n
+        for n in range(1, len(alphas)):
+            beta = sum([math.comb(n - 1, i - 1) * c * betas[n - i] for i, c in terms if i <= n])
+            betas.append(beta)
+            den *= n * d
+            out.append(Fraction(beta, den))
         return UniSeries(out)
 
     # -- misc ----------------------------------------------------------
@@ -336,7 +348,7 @@ class BiSeries:
 
     def q_weighted_sum(self) -> tuple[int, ...]:
         """Apply d/dq then set q = 1: the x^n coefficient becomes sum_s s * c_{n,s}."""
-        return tuple(sum((lo + j) * c for j, c in enumerate(cs)) for lo, cs in self._rows)
+        return tuple(sum(map(operator.mul, range(lo, lo + len(cs)), cs)) for lo, cs in self._rows)
 
     # -- misc ----------------------------------------------------------
 

@@ -51,17 +51,24 @@ classes, as (count, swrec, maximum):
     (1,     r' + n(t + 2),    t + 2)
 
 The private kernel ``_two_letter_classes`` gives this table, and the
-histogram and the census read it; the total adds its closed sum
-t(t + 1)(r + n) + (t + 2)(r' + n) per prefix, which the tests pin to
-the table.  ``swrec_census`` counts {(maximum, swrec): count}, every
-block count at once; it takes its prefixes from ``enumerate_rgs`` and
-reads their maximum and swrec by the definition, so the per-word
-statistic stays on its path.  So every prefix is walked and every word
-of length n is counted exactly once, by its prefix; n <= 1 has no
-prefix of length n - 2 and is answered directly.  The classes stop at
-two letters: counting three or more letters the same way would be a
-dynamic program over (maximum, swrec) in all but name, and this module
-is the oracle such a program should be checked against.
+histogram and the census read it.  The total adds the classes' closed
+sum t(t + 1)(r + n) + (t + 2)(r' + n) per prefix, written as
+a_t r + b_t with
+
+    a_t = t^2 + 2t + 2,    b_t = t(t + 1)n + (t + 2)((n - 1)(t + 1) + n);
+
+``_closed_sum_tables`` builds both over t = 0..n - 1 once per n, so a
+prefix costs two lookups, a product and a sum, and the tests pin
+a_t r + b_t to the class table.  ``swrec_census`` counts
+{(maximum, swrec): count}, every block count at once; it takes its
+prefixes from ``enumerate_rgs`` and reads their maximum and swrec by
+the definition, so the per-word statistic stays on its path.  So every
+prefix is walked and every word of length n is counted exactly once, by
+its prefix; n <= 1 has no prefix of length n - 2 and is answered
+directly.  The classes stop at two letters: counting three or more
+letters the same way would be a dynamic program over (maximum, swrec)
+in all but name, and this module is the oracle such a program should
+be checked against.
 """
 
 from __future__ import annotations
@@ -222,6 +229,15 @@ def _two_letter_classes(n: int, t: int, r: int) -> tuple[tuple[int, int, int], .
     )
 
 
+def _closed_sum_tables(n: int) -> tuple[list[int], list[int]]:
+    """Lists a and b over t = 0..n - 1 with a[t] * r + b[t] the swrec sum of
+    the four classes of ``_two_letter_classes(n, t, r)``: their closed sum
+    t(t + 1)(r + n) + (t + 2)(r' + n), with r' = r + (n - 1)(t + 1)."""
+    a = [t * t + 2 * t + 2 for t in range(n)]
+    b = [t * (t + 1) * n + (t + 2) * ((n - 1) * (t + 1) + n) for t in range(n)]
+    return a, b
+
+
 def swrec_histogram(n: int, k: int | None = None) -> Counter[int]:
     """Exact histogram {swrec value: count} over all partitions of [n]
     (restricted to k blocks when ``k`` is given).  P_0 holds the empty
@@ -262,8 +278,8 @@ def total_swrec_bruteforce(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     _check_size(n)
     if n <= 1:
         return n
+    a, b = _closed_sum_tables(n)
     total = 0
     for _, t, r in _walk(n - 2):
-        r1 = r + (n - 1) * (t + 1)
-        total += t * (t + 1) * (r + n) + (t + 2) * (r1 + n)
+        total += a[t] * r + b[t]
     return total

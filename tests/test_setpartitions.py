@@ -18,7 +18,12 @@ from partition_records import (
     swrec_histogram,
     total_swrec_bruteforce,
 )
-from partition_records.setpartitions import _two_letter_classes, _walk, swrec_census
+from partition_records.setpartitions import (
+    _closed_sum_tables,
+    _two_letter_classes,
+    _walk,
+    swrec_census,
+)
 
 
 def sum_of_squares(n):
@@ -274,15 +279,14 @@ def test_swrec_histogram_matches_per_word_definition():
 
 
 def test_total_is_the_closed_sum_of_the_classes():
-    # total_swrec_bruteforce adds this closed sum per prefix instead of
+    # total_swrec_bruteforce adds a[t] * r + b[t] per prefix instead of
     # reading the class table; a prefix of length n - 2 has maximum t <= n - 2
     for n in range(2, 14):
+        a, b = _closed_sum_tables(n)
         for t in range(n - 1):
             for r in range(0, 100, 7):
                 classes = _two_letter_classes(n, t, r)
-                r1 = r + (n - 1) * (t + 1)
-                closed = t * (t + 1) * (r + n) + (t + 2) * (r1 + n)
-                assert sum(count * s for count, s, _ in classes) == closed, (n, t, r)
+                assert sum(count * s for count, s, _ in classes) == a[t] * r + b[t], (n, t, r)
                 # t^2 + t + (t + 1) + 1 two-letter extensions
                 assert sum(count for count, _, _ in classes) == (t + 1) ** 2 + 1
 

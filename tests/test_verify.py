@@ -9,6 +9,7 @@ import json
 import re
 import textwrap
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from partition_records import cli, closedform, genfunc, powerseries, setpartitio
 from partition_records.powerseries import BiSeries
 from partition_records.setpartitions import DEFAULT_ENUMERATION_CAP
 from partition_records.verify import CaseFailure, VerificationOutcome
+from test_powerseries import schoolbook_exp
 
 
 def test_eq1_small():
@@ -370,7 +372,12 @@ def _label(kind, target) -> str:
     return f"d{target}" if target else "C"
 
 
+def _bell_terms():
+    return tuple((h, *entry) for h, entry in closedform.BELL_FORM_4T.items())
+
+
 def test_mutation_suites_pass_unmutated(tables):
+    assert closedform._BELL_TERMS == _bell_terms()
     assert _killed_by(tables) == set()
 
 
@@ -395,6 +402,8 @@ def test_every_closed_form_constant_is_pinned(monkeypatch, tables, kind, target,
         entry = list(closedform.BELL_FORM_4T[h])
         entry[field] += delta
         monkeypatch.setitem(closedform.BELL_FORM_4T, h, tuple(entry))
+        # total_swrec_formula reads the triples built once from the table
+        monkeypatch.setattr(closedform, "_BELL_TERMS", _bell_terms())
     elif kind == "bracket":
         monkeypatch.setitem(closedform.W_BRACKET, target, closedform.W_BRACKET[target] + delta)
     else:
@@ -408,10 +417,11 @@ def test_every_closed_form_constant_is_pinned(monkeypatch, tables, kind, target,
 
 
 # ---------------------------------------------------------------------------
-# Mutants of the enumeration counts: total_swrec_bruteforce, swrec_histogram,
-# swrec_census and their two-letter class kernel are rewritten in memory,
-# one integer literal moved by +-1 or one + / - swapped at a time; every
-# suite that runs the mutated function must then fail a case or raise.
+# Mutants of the enumeration counts: total_swrec_bruteforce and its
+# coefficient tables, swrec_histogram, swrec_census and their two-letter
+# class kernel are rewritten in memory, one integer literal moved by +-1
+# or one + / - swapped at a time; every suite that runs the mutated
+# function must then fail a case or raise.
 # ---------------------------------------------------------------------------
 
 
@@ -442,11 +452,12 @@ class _Mutate(ast.NodeTransformer):
 
 
 # Each counting function with the functions its mutants reach; a name's
-# sites are those of its functions in turn.  swrec_histogram reads its
-# classes from the kernel _two_letter_classes, so its sites run on into
-# the kernel; swrec_census shares that kernel and has its own body's.
+# sites are those of its functions in turn.  total_swrec_bruteforce reads
+# its per-maximum coefficients from _closed_sum_tables, and swrec_histogram
+# its classes from the kernel _two_letter_classes, so their sites run on
+# into those; swrec_census shares the kernel and has its own body's.
 _COUNTING = {
-    "total_swrec_bruteforce": ("total_swrec_bruteforce",),
+    "total_swrec_bruteforce": ("total_swrec_bruteforce", "_closed_sum_tables"),
     "swrec_histogram": ("swrec_histogram", "_two_letter_classes"),
     "swrec_census": ("swrec_census",),
 }
@@ -454,6 +465,7 @@ _COUNTING = {
 # The suites that run each function; every one must fail its mutants.
 _RUN_BY = {
     "total_swrec_bruteforce": ("thm3",),
+    "_closed_sum_tables": ("thm3",),
     "swrec_histogram": ("eq1",),
     "_two_letter_classes": ("eq1", "lemma2"),
     "swrec_census": ("lemma2",),
@@ -719,6 +731,52 @@ def test_egf_product_mutant_sites_cover_both_functions(monkeypatch, tables):
 def test_every_egf_product_step_is_pinned(monkeypatch, tables, name, kind, index, delta):
     _with_egf_mutant(monkeypatch, name, kind, index, delta)
     assert not _passes(lambda: verify.run_thm2(max_n=12, tables=tables).passed)
+
+
+# ---------------------------------------------------------------------------
+# Mutants of the EGF exp: UniSeries.exp is rewritten in memory the same way.
+# egf_w feeds exp only e^{jx}, whose factorial basis has d = 1 and one
+# nonzero term, so thm2 cannot see a mutant of the power of d or of
+# C(n-1, i-1) at i > 1.  Each mutant must fail thm2 or differ from the
+# schoolbook exp of one fixed dense series with d > 1.  None of these
+# mutants is equivalent, so there is no allow-list.
+# ---------------------------------------------------------------------------
+
+
+_EXP_MUTANTS = _mutants(powerseries, "UniSeries.exp")
+
+# every coefficient past the constant is nonzero, the last one included
+_DENSE = [Fraction(0), *(Fraction(p, q) for p, q in ((1, 3), (-2, 5), (7, 11), (3, 4), (-5, 7)))]
+
+
+def _exp_checks_pass(tables):
+    return (
+        verify.run_thm2(max_n=12, tables=tables).passed
+        and powerseries.UniSeries(_DENSE).exp().coeffs == schoolbook_exp(_DENSE)
+    )
+
+
+def test_exp_mutant_sites_cover_ints_and_ops(monkeypatch, tables):
+    assert {kind for kind, _, _ in _EXP_MUTANTS} == {"int", "op"}
+    assert powerseries._over_factorial_basis(tuple(_DENSE))[1] > 1
+    # the unmutated rewrite is the method itself
+    expected = closedform.egf_w(12, tables)
+    monkeypatch.setattr(
+        powerseries.UniSeries, "exp", _rewrite(powerseries, "UniSeries.exp", "int", -1, 0)[0]
+    )
+    assert closedform.egf_w(12, tables) == expected
+    assert _exp_checks_pass(tables)
+
+
+@pytest.mark.parametrize(
+    "kind, index, delta",
+    _EXP_MUTANTS,
+    ids=[_count_mutant_id("UniSeries.exp", *m) for m in _EXP_MUTANTS],
+)
+def test_every_exp_step_is_pinned(monkeypatch, tables, kind, index, delta):
+    rewritten = _rewrite(powerseries, "UniSeries.exp", kind, index, delta)[0]
+    monkeypatch.setattr(powerseries.UniSeries, "exp", rewritten)
+    assert not _passes(lambda: _exp_checks_pass(tables))
 
 
 # ---------------------------------------------------------------------------
