@@ -20,6 +20,7 @@ suites' sizes, and which flags each suite takes, live in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -158,7 +159,9 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use; parsing leaves no state in it."""
     parser = _Parser(
         prog="partition-records",
         description="Exact weighted-record statistics on set partitions, "

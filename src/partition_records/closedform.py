@@ -17,17 +17,16 @@ every evaluation reads.  Neither is derived from the other, so the
 
 This module builds the exact integer table of B_n via the Bell triangle
 (``build_tables`` is the one way to get it; a table is a plain tuple,
-rebuilt on every call and never read from a file), constructs
-W(x) with exact rational series arithmetic, and evaluates T(n) in
-integers.  Both routes are independent of the enumeration oracle, which
-the tests compare them against.
+rebuilt on every call and never read from a file), builds W(x) from
+integer numerators over i! (B_i over 1, the bracket's over 4), and
+evaluates T(n) in integers.  Both routes are independent of the
+enumeration oracle, which the tests compare them against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 
 from .powerseries import UniSeries
@@ -51,9 +50,9 @@ W_BRACKET: dict[tuple[int, int], Fraction] = {
 }
 
 # Largest n at which the CLI and the verify suites evaluate T(n) by the
-# formula and the EGF: egf_w at order FORMULA_CAP takes about 0.12 s on a
+# formula and the EGF: egf_w at order FORMULA_CAP takes about 0.11 s on a
 # 2-CPU host with Python 3.11.7, nearly all of it in the product, and its
-# cost grows faster than the square of the order (about 6x from order 250
+# cost grows faster than the square of the order (about 8x from order 250
 # to 500: order^2 / 2 products of integers, B_i and C(m, i) among them,
 # that grow with the order).
 FORMULA_CAP = 500
@@ -101,25 +100,23 @@ def egf_w(order: int, tables: tuple[int, ...]) -> UniSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     require_table(tables, order, "order")
-    facts = list(itertools.accumulate(range(1, order + 1), operator.mul, initial=1))
-    # E_j(m) = m! [x^m] e^{jx}, an integer, from the series exp of
-    # [0, j, 0, ..., 0] (order + 1 terms) for each j of the bracket;
-    # e^{0x} = 1 needs no series exp
+    # E_j(m) = m! [x^m] e^{jx}: the numerators, over 1^order = 1, of the series
+    # exp of jx over 1, for each j of the bracket; e^{0x} = 1 needs no exp
     powers = {0: [1] + [0] * order}
     for j in {j for _, j in W_BRACKET} - {0}:
-        series = UniSeries(([0, j] + [0] * order)[: order + 1]).exp()
-        powers[j] = [c.numerator * (f // c.denominator) for c, f in zip(series.coeffs, facts)]
+        jx = UniSeries.from_numerators(([0, j] + [0] * order)[: order + 1], 1)
+        powers[j] = jx.exp().numerators()[0]
     # n! [x^n] of c x^i e^{jx} is c n!/(n-i)! E_j(n-i); over den, the
     # common denominator of the bracket's c, each term is an integer
     den = math.lcm(*[c.denominator for c in W_BRACKET.values()])
     terms = [(i, powers[j], c.numerator * den // c.denominator) for (i, j), c in W_BRACKET.items()]
     bracket = [
-        Fraction(sum([c * math.perm(n, i) * e[n - i] for i, e, c in terms if i <= n]), den * f)
-        for n, f in enumerate(facts)
+        sum([c * math.perm(n, i) * e[n - i] for i, e, c in terms if i <= n])
+        for n in range(order + 1)
     ]
     # e^(e^x - 1) = sum of B_n x^n / n!, from the table
-    bell = UniSeries([Fraction(b, f) for b, f in zip(tables, facts)])
-    return bell * UniSeries(bracket)
+    bell = UniSeries.from_numerators(tables[: order + 1], 1)
+    return bell * UniSeries.from_numerators(bracket, den)
 
 
 def total_swrec_formula(n: int, tables: tuple[int, ...]) -> int:

@@ -6,33 +6,35 @@ Two representations are provided:
     A power series in one variable x, truncated at a fixed order N
     (terms x^0 .. x^N are kept), for series that really are rational: the
     EGF W(x) and the Taylor expansions at the poles of the per-k totals.
-    Coefficients are ``fractions.Fraction``, stored as a tuple of N+1.
-    It is built from the full coefficient list, read through ``order``,
-    ``coeffs``, ``coefficient`` and ``egf_coefficient``, and has three
-    kernels: ``*``, ``exp`` and ``reciprocal``.  ``perfbench`` traces all
-    three, so they stay until ROADMAP item 4 moves the class and its
-    spans in one change.  A product (same order only) writes each factor
-    in the factorial basis, [x^i] = a_i / (i! d) with integers a_i and one
-    d per factor, and convolves the integers binomially, as exponential
-    generating functions multiply:
+    It is stored in the factorial basis its kernels compute in: N+1
+    integer numerators a_i over one denominator d >= 1, [x^i] = a_i / (i! d),
+    never reduced.  It is built from the full coefficient list (which
+    finds the a_i and the least such d) or from the integers themselves
+    (``from_numerators``, which checks them), and read through ``order``,
+    ``numerators`` and, one reduced ``Fraction`` per value read,
+    ``coeffs``, ``coefficient`` and ``egf_coefficient``; equality
+    compares values.  It has three kernels: ``*``, ``exp`` and
+    ``reciprocal``.  ``perfbench`` traces all three, so they stay until
+    ROADMAP item 4 moves the class and its spans in one change.  A
+    product (same order only) convolves the numerators binomially, as
+    exponential generating functions multiply:
 
         m! d_a d_b [x^m] = sum_i C(m, i) a_i b_(m-i),
 
-    with C(m, i) read from a Pascal row updated once per m.  Each output
-    coefficient is an integer dot product and a single ``Fraction``
-    reduction.  On an EGF such as sum B_n x^n / n! the a_i are the values
-    B_i themselves, so a term costs their size, not that of the lcm of
-    the n! (order!, about 3,770 bits at order 500).  The identity holds
-    for any rational coefficients.  ``exp`` works in the same basis: with
+    with C(m, i) read from a Pascal row updated once per m, and keeps each
+    sum over d_a d_b: no gcd and no ``Fraction`` per coefficient.  On an
+    EGF such as sum B_n x^n / n! the a_i are the values B_i themselves,
+    so a term costs their size, not that of the lcm of the n! (order!,
+    about 3,770 bits at order 500).  ``exp`` works in the same basis: with
     [x^i] = alpha_i / (i! d) for its input, the integers
     beta_n = n! d^n [x^n] of its output obey
 
         beta_n = sum_(i=1..n) C(n-1, i-1) alpha_i d^(i-1) beta_(n-i),
 
-    an integer sum over the nonzero alpha_i only and one ``Fraction``
-    reduction per coefficient: O(order) steps of one term each for
-    e^{cx} = exp(c x).  ``reciprocal`` scans its input once for its
-    nonzero terms, and each step of its recurrence sums over those only.
+    an integer sum over the nonzero alpha_i only, kept as beta_n d^(N-n)
+    over d^N: O(order) steps of one term each for e^{cx} = exp(c x).
+    ``reciprocal`` runs on the ``Fraction`` values: it scans its input
+    once for its nonzero terms, and each step sums over those only.
 
 ``BiSeries``
     A power series in x whose coefficients are integer polynomials in a
@@ -70,6 +72,7 @@ threads or worker processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -85,7 +88,7 @@ def _as_fraction(value: Rational) -> Fraction:
     return Fraction(value)
 
 
-def _over_factorial_basis(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+def _over_factorial_basis(coeffs: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
     """Integers alphas and d with coeffs[i] == alphas[i] / (i! d), d the lcm
     of the denominators of coeffs[i] * i!."""
     scaled = []
@@ -95,7 +98,7 @@ def _over_factorial_basis(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]
         g = math.gcd(fact, c.denominator)
         scaled.append((c.numerator * (fact // g), c.denominator // g))
     d = math.lcm(*[q for _, q in scaled])
-    return [p * (d // q) for p, q in scaled], d
+    return tuple([p * (d // q) for p, q in scaled]), d
 
 
 def _nonzero_terms(coeffs: tuple[Fraction, ...]) -> list[tuple[int, Fraction]]:
@@ -104,36 +107,54 @@ def _nonzero_terms(coeffs: tuple[Fraction, ...]) -> list[tuple[int, Fraction]]:
 
 
 class UniSeries:
-    """Truncated univariate power series with exact rational coefficients."""
+    """Truncated univariate power series with exact rational coefficients,
+    stored in the factorial basis: [x^i] = nums[i] / (i! den)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Rational]):
         """The series c0 + c1 x + ... + cN x^N of ``coeffs`` = [c0, ..., cN]."""
         cs = tuple([_as_fraction(c) for c in coeffs])
         if not cs:
             raise ValueError("a series needs at least a constant term")
-        self._coeffs = cs
+        self._nums, self._den = _over_factorial_basis(cs)
+
+    @classmethod
+    def from_numerators(cls, nums: Iterable[int], den: int) -> "UniSeries":
+        """The series sum_i nums[i] x^i / (i! den), from plain ints with den >= 1."""
+        nums = tuple(nums)
+        if not all(type(v) is int for v in (*nums, den)):
+            raise TypeError("numerators and denominator must be plain ints")
+        if not nums or den < 1:
+            raise ValueError("a series needs a constant term and a denominator >= 1")
+        series = cls.__new__(cls)
+        series._nums, series._den = nums, den
+        return series
 
     # -- inspection ---------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
+
+    def numerators(self) -> tuple[tuple[int, ...], int]:
+        """(nums, den) as stored, with [x^i] = nums[i] / (i! den); not reduced."""
+        return self._nums, self._den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        facts = itertools.accumulate(range(1, len(self._nums)), operator.mul, initial=self._den)
+        return tuple(map(Fraction, self._nums, facts))
 
     def coefficient(self, n: int) -> Fraction:
         """Coefficient of x^n; reading past the truncation order is an error."""
-        if not 0 <= n <= self.order:
-            raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
-        return self._coeffs[n]
+        return self.egf_coefficient(n) / math.factorial(n)
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! * [x^n], i.e. the value counted by an exponential generating function."""
-        return self.coefficient(n) * math.factorial(n)
+        if not 0 <= n <= self.order:
+            raise ValueError(f"coefficient index {n} outside truncation order {self.order}")
+        return Fraction(self._nums[n], self._den)
 
     # -- kernels -------------------------------------------------------
 
@@ -143,26 +164,22 @@ class UniSeries:
         n = self.order
         if n != other.order:
             raise ValueError(f"series orders differ: {n} vs {other.order}")
-        a, da = _over_factorial_basis(self._coeffs)
-        b, db = _over_factorial_basis(other._coeffs)
-        b.reverse()
+        a, b = self._nums, other._nums[::-1]
         out = []
-        den = da * db
         pascal = [1]  # C(m, 0..m)
-        for m in range(len(a)):
-            # m! da db [x^m] = sum_i C(m, i) a_i b_(m-i): one reduction per coefficient
+        for m in range(n + 1):
+            # m! d_a d_b [x^m] = sum_i C(m, i) a_i b_(m-i)
             terms = map(operator.mul, a, b[n - m :])
-            out.append(Fraction(sum(map(operator.mul, pascal, terms)), den))
-            den *= m + 1
+            out.append(sum(map(operator.mul, pascal, terms)))
             pascal = list(map(operator.add, [0, *pascal], [*pascal, 0]))
-        return UniSeries(out)
+        return UniSeries.from_numerators(out, self._den * other._den)
 
     def reciprocal(self) -> "UniSeries":
         """Multiplicative inverse through the truncation order.
 
         The constant term must be nonzero.
         """
-        a = self._coeffs
+        a = self.coeffs
         if a[0] == 0:
             raise ValueError("cannot invert a series with zero constant term")
         inv0 = 1 / a[0]
@@ -176,34 +193,31 @@ class UniSeries:
     def exp(self) -> "UniSeries":
         """exp of a series with zero constant term.
 
-        From b' = a' * b for b = exp(a), over the factorial basis of ``*``
-        (the module docstring gives the recurrence): each coefficient is
-        an integer sum over the nonzero input terms and one ``Fraction``
-        reduction.
+        From b' = a' * b for b = exp(a), in the factorial basis (the
+        module docstring gives the recurrence): each coefficient is an
+        integer sum over the nonzero input terms.
         """
-        if self._coeffs[0] != 0:
+        alphas, d = self._nums, self._den
+        if alphas[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        alphas, d = _over_factorial_basis(self._coeffs)
         terms = [(i, alpha * d ** (i - 1)) for i, alpha in enumerate(alphas) if alpha]
         betas = [1]
-        out = [Fraction(1)]
-        den = 1  # n! d^n
         for n in range(1, len(alphas)):
             beta = sum([math.comb(n - 1, i - 1) * c * betas[n - i] for i, c in terms if i <= n])
             betas.append(beta)
-            den *= n * d
-            out.append(Fraction(beta, den))
-        return UniSeries(out)
+        # over the one denominator d^order, x^n has the numerator beta_n d^(order - n)
+        nums = [beta * d ** (self.order - n) for n, beta in enumerate(betas)]
+        return UniSeries.from_numerators(nums, d**self.order)
 
     # -- misc ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
-        return f"UniSeries({[str(c) for c in self._coeffs]})"
+        return f"UniSeries({[str(c) for c in self.coeffs]})"
 
 
 # A BiSeries row q^lo * sum_j coeffs[j] q^j as (lo, coeffs), trimmed of

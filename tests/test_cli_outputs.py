@@ -87,21 +87,58 @@ def test_every_suite_is_pinned():
     assert pinned == set(cli.verify_mod.SUITES)
 
 
-@pytest.mark.parametrize("line", list(STDOUT_SHA256))
-def test_cli_output_is_unchanged(line):
+def _run(line):
+    """(exit code, stdout) of one argv through ``cli.main``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(shlex.split(line)) == 0
-    assert _digest(out.getvalue()) == STDOUT_SHA256[line]
+        code = cli.main(shlex.split(line))
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("line", list(STDOUT_SHA256))
+def test_cli_output_is_unchanged(line):
+    code, stdout = _run(line)
+    assert (code, _digest(stdout)) == (0, STDOUT_SHA256[line])
+
+
+def test_pinned_outputs_in_reverse_order_are_unchanged():
+    # main shares one parser across calls, so no call may leave a trace
+    # in the next: the pinned argv run in one process in reverse order
+    for line in reversed(list(STDOUT_SHA256)):
+        code, stdout = _run(line)
+        assert (code, _digest(stdout)) == (0, STDOUT_SHA256[line]), line
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # a usage error leaves a partly filled parse behind it, and an egf
+    # total sets --method; neither may reach the calls after it
+    assert _run("total --n 5 --method nope")[0] == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert _run("total --method egf --n 10") == (0, "8962070\n")
+    code, stdout = _run("total --n 5")
+    assert (code, _digest(stdout)) == (0, STDOUT_SHA256["total --method brute --n 5"])
+    code, stdout = _run("gf --k 2 --max-n 5 --format csv")
+    assert (code, _digest(stdout)) == (0, STDOUT_SHA256["gf --k 2 --max-n 5 --format csv"])
+
+
+def test_total_by_egf_over_the_formula_range_is_unchanged():
+    # one build of W(x) per n = 0, 25, ..., 500; the digest is of the
+    # stdouts joined in that order
+    outputs = []
+    for n in range(0, 501, 25):
+        code, stdout = _run(f"total --method egf --n {n}")
+        assert code == 0, n
+        outputs.append(stdout)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == (
+        "02b8106ef9c3ed2bcd98395e268ada7d95d006f18abaaae1adc154fd2a7c8e03"
+    )
 
 
 def test_asymptotic_over_its_whole_domain_is_unchanged():
     # every n that ``asymptotic --ns`` accepts, in one argv
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(["asymptotic", "--ns", ",".join(map(str, range(1, 1001)))]) == 0
-    assert _digest(out.getvalue()) == (
-        "cccb618eb4b71f761e04df0d90d3e305ab2bcbab3b9d93d41c5dd6c50a399f78"
+    code, stdout = _run("asymptotic --ns " + ",".join(map(str, range(1, 1001))))
+    assert (code, _digest(stdout)) == (
+        0, "cccb618eb4b71f761e04df0d90d3e305ab2bcbab3b9d93d41c5dd6c50a399f78"
     )
 
 

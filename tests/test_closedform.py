@@ -14,8 +14,9 @@ from partition_records import (
     total_swrec_bruteforce,
     total_swrec_formula,
 )
-from partition_records.closedform import BELL_FORM_4T, W_BRACKET
-from partition_records.powerseries import UniSeries, _over_factorial_basis
+from partition_records import closedform, powerseries
+from partition_records.closedform import BELL_FORM_4T, FORMULA_CAP, W_BRACKET
+from partition_records.powerseries import UniSeries
 
 
 def test_bell_small_values():
@@ -67,7 +68,7 @@ def test_egf_factors_are_integers_in_the_factorial_basis(tables):
     # of the values, not of the lcm of the n!
     order = 40
     bell = [Fraction(tables[n], math.factorial(n)) for n in range(order + 1)]
-    assert _over_factorial_basis(tuple(bell)) == (list(tables[: order + 1]), 1)
+    assert UniSeries(bell).numerators() == (tables[: order + 1], 1)
     # [x^n] of c x^i e^{jx} is c j^(n-i) / (n-i)!
     bracket = [
         sum(c * j ** (n - i) / math.factorial(n - i) for (i, j), c in W_BRACKET.items() if i <= n)
@@ -77,15 +78,42 @@ def test_egf_factors_are_integers_in_the_factorial_basis(tables):
     # alone, 3/4 e^{3x} needs d = 4; in the whole bracket the quarters
     # cancel, since 4 n! [x^n] = 3^(n+1) + 6 2^n - 7 - 2n 2^n - 6n - 2[n=0]
     # is 0 mod 4 for every n
-    powers = [3 ** (n + 1) for n in range(order + 1)]
-    three_quarters_e3x = tuple(Fraction(p, 4 * math.factorial(n)) for n, p in enumerate(powers))
-    assert _over_factorial_basis(three_quarters_e3x) == (powers, 4)
-    alphas, d = _over_factorial_basis(tuple(bracket))
+    powers = tuple(3 ** (n + 1) for n in range(order + 1))
+    three_quarters_e3x = [Fraction(p, 4 * math.factorial(n)) for n, p in enumerate(powers)]
+    assert UniSeries(three_quarters_e3x).numerators() == (powers, 4)
+    alphas, d = UniSeries(bracket).numerators()
     assert d == 1
-    assert alphas == [
+    assert alphas == tuple(
         (3 ** (n + 1) + 6 * 2**n - 7 - 2 * n * 2**n - 6 * n - 2 * (n == 0)) // 4
         for n in range(order + 1)
-    ]
+    )
+
+
+def test_egf_numerators_over_the_whole_formula_range(tables):
+    # egf_w keeps the bracket's numerators over 4 unreduced, so the product
+    # holds n! 4 [x^n] = 4 T(n) over 4 at every n the CLI serves
+    nums, den = egf_w(FORMULA_CAP, tables).numerators()
+    assert den == 4
+    assert nums == tuple(4 * total_swrec_formula(n, tables) for n in range(FORMULA_CAP + 1))
+
+
+def test_egf_w_builds_no_fraction(monkeypatch, tables):
+    # the EGF path stays integral: no Fraction is made in powerseries or
+    # closedform while egf_w(200) builds its series
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(powerseries, "Fraction", Counting)
+    monkeypatch.setattr(closedform, "Fraction", Counting)
+    w = egf_w(200, tables)
+    assert made == []
+    # the guard does count: a read builds one
+    assert w.egf_coefficient(200) == total_swrec_formula(200, tables)
+    assert len(made) == 1
 
 
 def test_total_formula_values(tables):

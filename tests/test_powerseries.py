@@ -75,6 +75,37 @@ def test_bool_coefficients_rejected():
         UniSeries([1, True])
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (([True, 0], 1), TypeError),
+        (([1, 2.0], 1), TypeError),
+        (([1, F(1, 2)], 1), TypeError),
+        (([1, F(2)], 1), TypeError),
+        (([1, 2], True), TypeError),
+        (([1, 2], 2.0), TypeError),
+        (([1, 2], F(2)), TypeError),
+        (([1, 2], 0), ValueError),
+        (([1, 2], -3), ValueError),
+        (([], 1), ValueError),
+    ],
+)
+def test_from_numerators_rejects_bad_arguments(args, error):
+    with pytest.raises(error):
+        UniSeries.from_numerators(*args)
+
+
+def test_from_numerators_is_the_factorial_basis():
+    # [x^i] = nums[i] / (i! den), kept as given; equality compares values
+    s = UniSeries.from_numerators([3, -4, 6, 0], 2)
+    assert s.numerators() == ((3, -4, 6, 0), 2)
+    assert s.coeffs == (F(3, 2), -2, F(3, 2), 0)
+    assert s.egf_coefficient(2) == 3 and s.coefficient(2) == F(3, 2)
+    assert s == UniSeries(s.coeffs) == UniSeries.from_numerators([6, -8, 12, 0], 4)
+    assert s != UniSeries.from_numerators([3, -4, 6, 1], 2)
+    assert s != UniSeries.from_numerators([3, -4, 6], 2)
+
+
 def test_reading_past_order_rejected():
     with pytest.raises(ValueError):
         UniSeries([1, 2]).coefficient(2)

@@ -17,7 +17,7 @@ from partition_records import cli, closedform, genfunc, powerseries, setpartitio
 from partition_records.powerseries import BiSeries
 from partition_records.setpartitions import DEFAULT_ENUMERATION_CAP
 from partition_records.verify import CaseFailure, VerificationOutcome
-from test_powerseries import schoolbook_exp
+from test_powerseries import schoolbook_exp, schoolbook_mul
 
 
 def test_eq1_small():
@@ -688,10 +688,14 @@ def test_every_start_order_is_pinned(monkeypatch, name, delta):
 
 
 # ---------------------------------------------------------------------------
-# Mutants of the EGF product: UniSeries.__mul__ and its factorial basis are
-# rewritten in memory the same way; thm2, which compares the product W(x)
-# with the Bell formula and with the block sums, must then fail a case or
-# raise.  None of these mutants is equivalent, so there is no allow-list.
+# Mutants of the EGF product: UniSeries.__mul__ and the factorial basis of
+# the rational constructor are rewritten in memory the same way.  egf_w
+# builds its factors from integer numerators, so thm2, which compares the
+# product W(x) with the Bell formula and with the block sums, sees only
+# the product; both are also under one exact product of two dense series
+# with d > 1, against the schoolbook product.  Each mutant must fail one
+# of the two.  None of these mutants is equivalent, so there is no
+# allow-list.
 # ---------------------------------------------------------------------------
 
 
@@ -699,6 +703,11 @@ _EGF_PRODUCT_TARGETS = ("UniSeries.__mul__", "_over_factorial_basis")
 _EGF_PRODUCT_MUTANTS = [
     (name, *m) for name in _EGF_PRODUCT_TARGETS for m in _mutants(powerseries, name)
 ]
+
+# every coefficient past the constant is nonzero, the last one included
+_DENSE = [Fraction(0), *(Fraction(p, q) for p, q in ((1, 3), (-2, 5), (7, 11), (3, 4), (-5, 7)))]
+# a second one, with a nonzero constant and other denominators
+_DENSE_B = [Fraction(p, q) for p, q in ((-2, 9), (5, 6), (1, 13), (-4, 3), (9, 10), (3, 8))]
 
 
 def _with_egf_mutant(monkeypatch, name, kind, index, delta):
@@ -709,18 +718,27 @@ def _with_egf_mutant(monkeypatch, name, kind, index, delta):
         monkeypatch.setattr(powerseries, name, rewritten)
 
 
+def _product_checks_pass(tables):
+    dense = powerseries.UniSeries(_DENSE) * powerseries.UniSeries(_DENSE_B)
+    return (
+        verify.run_thm2(max_n=12, tables=tables).passed
+        and dense.coeffs == schoolbook_mul(_DENSE, _DENSE_B)
+    )
+
+
 def test_egf_product_mutant_sites_cover_both_functions(monkeypatch, tables):
     assert {(name, kind) for name, kind, _, _ in _EGF_PRODUCT_MUTANTS} == {
         ("UniSeries.__mul__", "int"),
         ("UniSeries.__mul__", "op"),
         ("_over_factorial_basis", "int"),
     }
+    assert all(powerseries.UniSeries(s).numerators()[1] > 1 for s in (_DENSE, _DENSE_B))
     # the unmutated rewrites are the functions themselves
     expected = closedform.egf_w(12, tables)
     for name in _EGF_PRODUCT_TARGETS:
         _with_egf_mutant(monkeypatch, name, "int", -1, 0)
     assert closedform.egf_w(12, tables) == expected
-    assert verify.run_thm2(max_n=12, tables=tables).passed
+    assert _product_checks_pass(tables)
 
 
 @pytest.mark.parametrize(
@@ -730,7 +748,7 @@ def test_egf_product_mutant_sites_cover_both_functions(monkeypatch, tables):
 )
 def test_every_egf_product_step_is_pinned(monkeypatch, tables, name, kind, index, delta):
     _with_egf_mutant(monkeypatch, name, kind, index, delta)
-    assert not _passes(lambda: verify.run_thm2(max_n=12, tables=tables).passed)
+    assert not _passes(lambda: _product_checks_pass(tables))
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +763,6 @@ def test_every_egf_product_step_is_pinned(monkeypatch, tables, name, kind, index
 
 _EXP_MUTANTS = _mutants(powerseries, "UniSeries.exp")
 
-# every coefficient past the constant is nonzero, the last one included
-_DENSE = [Fraction(0), *(Fraction(p, q) for p, q in ((1, 3), (-2, 5), (7, 11), (3, 4), (-5, 7)))]
-
 
 def _exp_checks_pass(tables):
     return (
@@ -758,7 +773,6 @@ def _exp_checks_pass(tables):
 
 def test_exp_mutant_sites_cover_ints_and_ops(monkeypatch, tables):
     assert {kind for kind, _, _ in _EXP_MUTANTS} == {"int", "op"}
-    assert powerseries._over_factorial_basis(tuple(_DENSE))[1] > 1
     # the unmutated rewrite is the method itself
     expected = closedform.egf_w(12, tables)
     monkeypatch.setattr(
