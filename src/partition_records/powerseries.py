@@ -200,14 +200,15 @@ class UniSeries:
         alphas, d = self._nums, self._den
         if alphas[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        terms = [(i, alpha * d ** (i - 1)) for i, alpha in enumerate(alphas) if alpha]
+        powers = list(itertools.accumulate([d] * self.order, operator.mul, initial=1))  # d^0..d^order
+        terms = [(i, alpha * powers[i - 1]) for i, alpha in enumerate(alphas) if alpha]
         betas = [1]
         for n in range(1, len(alphas)):
             beta = sum([math.comb(n - 1, i - 1) * c * betas[n - i] for i, c in terms if i <= n])
             betas.append(beta)
         # over the one denominator d^order, x^n has the numerator beta_n d^(order - n)
-        nums = [beta * d ** (self.order - n) for n, beta in enumerate(betas)]
-        return UniSeries.from_numerators(nums, d**self.order)
+        nums = [beta * power for beta, power in zip(betas, reversed(powers))]
+        return UniSeries.from_numerators(nums, powers[-1])
 
     # -- misc ----------------------------------------------------------
 
